@@ -1,8 +1,10 @@
 #include "noise/aggressor_filter.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "obs/obs.hpp"
+#include "runtime/task_graph.hpp"
 #include "util/assert.hpp"
 #include "util/logging.hpp"
 
@@ -10,94 +12,83 @@ namespace tka::noise {
 
 AggressorFilter::AggressorFilter(const net::Netlist& nl, const layout::Parasitics& par,
                                  const NoiseAnalyzer& analyzer,
-                                 EnvelopeBuilder& builder, const FilterOptions& opt)
-    : nl_(&nl), par_(&par), opt_(opt), false_side_(2 * par.num_couplings(), 0) {
+                                 const EnvelopeBuilder& builder,
+                                 const FilterOptions& opt, int threads)
+    : nl_(&nl), par_(&par), opt_(opt), verdict_(2 * par.num_couplings(), kKept) {
   obs::ScopedSpan span("noise.filter");
-  Tally tally;
 
   if (opt_.functional) {
     toggles_ = std::make_unique<net::ToggleProfile>(net::profile_toggles(
         nl, opt_.functional_events, opt_.functional_seed));
   }
-  // Dominance interval per victim net is computed lazily (many nets have no
-  // couplings at all).
-  std::vector<char> have_iv(nl.num_nets(), 0);
-  std::vector<wave::DominanceInterval> iv(nl.num_nets());
-
-  for (layout::CapId id = 0; id < par.num_couplings(); ++id) {
-    const layout::CouplingCap& cc = par.coupling(id);
-    for (const net::NetId victim : {cc.net_a, cc.net_b}) {
-      if (side_is_false(victim, id, analyzer, builder, have_iv, iv, &tally)) {
-        false_side_[side_index(victim, id)] = 1;
-        ++num_filtered_;
-      }
+  const CouplingMask all = CouplingMask::all(par.num_couplings());
+  runtime::parallel_for_dynamic(threads, 0, nl.num_nets(), [&](std::size_t v) {
+    // The dominance interval (an upper bound over all of the victim's
+    // couplings) is computed on the first side that reaches the window rule.
+    std::optional<wave::DominanceInterval> iv;
+    for (layout::CapId id : par.couplings_of(v)) {
+      verdict_[side_index(v, id)] =
+          side_verdict(v, id, analyzer, builder, all, iv);
     }
-  }
+  });
+  std::array<size_t, kOutsideWindow + 1> tally{};
+  for (Verdict verdict : verdict_) ++tally[verdict];
+  num_filtered_ = verdict_.size() - tally[kKept];
   obs::registry().counter("noise.filter_false_sides").add(num_filtered_);
   if (log::enabled(log::Level::kDebug)) {
-    log::debug() << "filter: " << num_filtered_ << " of "
-                 << 2 * par.num_couplings() << " victim-cap sides false ("
-                 << tally.zero_cap << " zero-cap, " << tally.peak
-                 << " low-peak, " << tally.toggle << " no-toggle, "
-                 << tally.window << " outside-window)";
+    log::debug() << "filter: " << num_filtered_ << " of " << verdict_.size()
+                 << " victim-cap sides false (" << tally[kZeroCap]
+                 << " zero-cap, " << tally[kLowPeak] << " low-peak, "
+                 << tally[kNoToggle] << " no-toggle, " << tally[kOutsideWindow]
+                 << " outside-window)";
   }
 }
 
-bool AggressorFilter::side_is_false(net::NetId victim, layout::CapId id,
-                                    const NoiseAnalyzer& analyzer,
-                                    EnvelopeBuilder& builder,
-                                    std::vector<char>& have_iv,
-                                    std::vector<wave::DominanceInterval>& iv,
-                                    Tally* tally) const {
+AggressorFilter::Verdict AggressorFilter::side_verdict(
+    net::NetId victim, layout::CapId id, const NoiseAnalyzer& analyzer,
+    const EnvelopeBuilder& builder, const CouplingMask& all,
+    std::optional<wave::DominanceInterval>& iv) const {
   const layout::CouplingCap& cc = par_->coupling(id);
   const bool debug = log::enabled(log::Level::kDebug);
-  if (cc.cap_pf <= 0.0) {
-    ++tally->zero_cap;
-    return true;
-  }
+  if (cc.cap_pf <= 0.0) return kZeroCap;
   const wave::PulseShape shape = builder.pulse_shape(victim, id);
   if (shape.peak < opt_.min_peak_v) {
-    ++tally->peak;
     if (debug) {
       log::debug() << "filter: cap " << id << " false for victim "
                    << nl_->net(victim).name << " (peak " << shape.peak
                    << " V < " << opt_.min_peak_v << " V)";
     }
-    return true;
+    return kLowPeak;
   }
   if (toggles_ != nullptr && !toggles_->both_toggled(victim, cc.other(victim))) {
-    ++tally->toggle;
     if (debug) {
       log::debug() << "filter: cap " << id << " false for victim "
                    << nl_->net(victim).name << " (no functional toggle overlap)";
     }
-    return true;
+    return kNoToggle;
   }
-  if (!have_iv[victim]) {
-    const CouplingMask all = CouplingMask::all(par_->num_couplings());
-    iv[victim] = analyzer.dominance_interval(victim, builder, all);
-    iv[victim].lo -= opt_.window_margin_ns;
-    iv[victim].hi += opt_.window_margin_ns;
-    have_iv[victim] = 1;
+  if (!iv.has_value()) {
+    iv = analyzer.dominance_interval(victim, builder, all);
+    iv->lo -= opt_.window_margin_ns;
+    iv->hi += opt_.window_margin_ns;
   }
-  const wave::Pwl& env = builder.envelope(victim, id);
+  const wave::Pwl env = builder.envelope_widened(victim, id, 0.0);
   // Zero inside the interval <=> the zero waveform encapsulates it there.
   if (env.empty() ||
-      wave::Pwl::zero().encapsulates(env, iv[victim].lo, iv[victim].hi, 1e-12)) {
-    ++tally->window;
+      wave::Pwl::zero().encapsulates(env, iv->lo, iv->hi, 1e-12)) {
     if (debug) {
       log::debug() << "filter: cap " << id << " false for victim "
                    << nl_->net(victim).name
                    << " (envelope outside the dominance interval)";
     }
-    return true;
+    return kOutsideWindow;
   }
-  return false;
+  return kKept;
 }
 
 void AggressorFilter::refresh(std::span<const net::NetId> nets,
                               const NoiseAnalyzer& analyzer,
-                              EnvelopeBuilder& builder) {
+                              const EnvelopeBuilder& builder) {
   obs::ScopedSpan span("noise.filter_refresh");
   static obs::Counter& c_sides =
       obs::registry().counter("noise.filter_refreshed_sides");
@@ -113,25 +104,17 @@ void AggressorFilter::refresh(std::span<const net::NetId> nets,
   sides.erase(std::unique(sides.begin(), sides.end()), sides.end());
   c_sides.add(sides.size());
 
-  Tally tally;
-  std::vector<char> have_iv(nl_->num_nets(), 0);
-  std::vector<wave::DominanceInterval> iv(nl_->num_nets());
+  const CouplingMask all = CouplingMask::all(par_->num_couplings());
+  std::vector<std::optional<wave::DominanceInterval>> iv(nl_->num_nets());
   for (size_t side : sides) {
     const layout::CapId id = static_cast<layout::CapId>(side / 2);
     const layout::CouplingCap& cc = par_->coupling(id);
     const net::NetId victim = (side % 2 == 0) ? cc.net_a : cc.net_b;
-    const char now = side_is_false(victim, id, analyzer, builder, have_iv, iv,
-                                   &tally)
-                         ? 1
-                         : 0;
-    if (now != false_side_[side]) {
-      if (now != 0) {
-        ++num_filtered_;
-      } else {
-        --num_filtered_;
-      }
-      false_side_[side] = now;
-    }
+    const Verdict now =
+        side_verdict(victim, id, analyzer, builder, all, iv[victim]);
+    if (now != kKept) ++num_filtered_;
+    if (verdict_[side] != kKept) --num_filtered_;
+    verdict_[side] = now;
   }
 }
 
@@ -142,7 +125,7 @@ size_t AggressorFilter::side_index(net::NetId victim, layout::CapId cap) const {
 }
 
 bool AggressorFilter::is_false(net::NetId victim, layout::CapId cap) const {
-  return false_side_[side_index(victim, cap)] != 0;
+  return verdict_[side_index(victim, cap)] != kKept;
 }
 
 }  // namespace tka::noise

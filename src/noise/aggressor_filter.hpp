@@ -13,6 +13,7 @@
 #include <cstddef>
 
 #include <memory>
+#include <optional>
 #include <span>
 
 #include "net/logic_sim.hpp"
@@ -40,17 +41,20 @@ struct FilterOptions {
 /// sides an edit touched.
 class AggressorFilter {
  public:
-  /// Evaluates all (victim, cap) sides under the builder's windows.
+  /// Evaluates all (victim, cap) sides under the builder's windows, one
+  /// task per victim on `threads` workers (resolved like
+  /// IterativeOptions::threads). Every task writes only its own victim's
+  /// sides, so the verdicts are identical for any thread count.
   AggressorFilter(const net::Netlist& nl, const layout::Parasitics& par,
-                  const NoiseAnalyzer& analyzer, EnvelopeBuilder& builder,
-                  const FilterOptions& options = {});
+                  const NoiseAnalyzer& analyzer, const EnvelopeBuilder& builder,
+                  const FilterOptions& options = {}, int threads = 1);
 
   /// Re-evaluates every side touching one of `nets` (as victim or as the
   /// coupled aggressor) under the builder's current windows, applying the
   /// same rules in the same order as construction. The functional toggle
   /// profile is logic-only and is reused as-is. Serial and deterministic.
   void refresh(std::span<const net::NetId> nets, const NoiseAnalyzer& analyzer,
-               EnvelopeBuilder& builder);
+               const EnvelopeBuilder& builder);
 
   /// True when `cap` can never produce delay noise on `victim`.
   bool is_false(net::NetId victim, layout::CapId cap) const;
@@ -58,32 +62,36 @@ class AggressorFilter {
   /// Number of (victim, cap) sides filtered out.
   size_t num_filtered() const { return num_filtered_; }
   /// Total number of (victim, cap) sides considered.
-  size_t num_sides() const { return false_side_.size(); }
+  size_t num_sides() const { return verdict_.size(); }
 
  private:
-  /// Per-rule removal tallies for the debug summary line.
-  struct Tally {
-    size_t zero_cap = 0;
-    size_t peak = 0;
-    size_t toggle = 0;
-    size_t window = 0;
+  /// Why a side was kept or dropped, in rule order; stored per side.
+  enum Verdict : char {
+    kKept = 0,
+    kZeroCap,
+    kLowPeak,
+    kNoToggle,
+    kOutsideWindow,
   };
 
   size_t side_index(net::NetId victim, layout::CapId cap) const;
 
-  /// One side's verdict under the current windows; `have_iv`/`iv` lazily
-  /// cache the per-victim dominance interval across sides of one pass.
-  bool side_is_false(net::NetId victim, layout::CapId cap,
-                     const NoiseAnalyzer& analyzer, EnvelopeBuilder& builder,
-                     std::vector<char>& have_iv,
-                     std::vector<wave::DominanceInterval>& iv,
-                     Tally* tally) const;
+  /// One side's verdict under the current windows. `all` is the
+  /// all-couplings mask of the pass; `iv` lazily caches the victim's
+  /// dominance interval across the victim's sides. The side's envelope is
+  /// built fresh rather than taken from the builder's table: many sides
+  /// tested here are never read again (filtered, or beyond the per-victim
+  /// primary limit), and caching them would only hold memory.
+  Verdict side_verdict(net::NetId victim, layout::CapId cap,
+                       const NoiseAnalyzer& analyzer,
+                       const EnvelopeBuilder& builder, const CouplingMask& all,
+                       std::optional<wave::DominanceInterval>& iv) const;
 
   const net::Netlist* nl_;
   const layout::Parasitics* par_;
   FilterOptions opt_;
   std::unique_ptr<net::ToggleProfile> toggles_;
-  std::vector<char> false_side_;  // [2 * cap + (victim == net_b)]
+  std::vector<Verdict> verdict_;  // [2 * cap + (victim == net_b)]
   size_t num_filtered_ = 0;
 };
 

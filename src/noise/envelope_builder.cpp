@@ -1,23 +1,14 @@
 #include "noise/envelope_builder.hpp"
 
-#include <mutex>
-
 #include "util/assert.hpp"
 
 namespace tka::noise {
 namespace {
 
-std::uint64_t key_of(net::NetId victim, layout::CapId cap) {
-  return (static_cast<std::uint64_t>(victim) << 32) | cap;
-}
-
-// Approximate heap footprint of one cache entry: the Pwl object (inline
-// point buffer included) plus its spilled pool block, plus a flat allowance
-// for the unordered_map node and key.
-std::int64_t entry_bytes(const wave::Pwl& pwl) {
-  constexpr std::int64_t kNodeOverhead = 64;
-  return kNodeOverhead + static_cast<std::int64_t>(sizeof(wave::Pwl)) +
-         static_cast<std::int64_t>(pwl.heap_bytes());
+obs::Counter& invalidated_counter() {
+  static obs::Counter& c =
+      obs::registry().counter("noise.envelope_cache_invalidated");
+  return c;
 }
 
 }  // namespace
@@ -42,57 +33,78 @@ wave::Pwl EnvelopeBuilder::build(net::NetId victim, layout::CapId cap,
                                          std::max(start_lat, start_eat));
 }
 
+std::size_t EnvelopeBuilder::side_index(net::NetId victim,
+                                        layout::CapId cap) const {
+  const layout::CouplingCap& cc = par_->coupling(cap);
+  TKA_ASSERT(victim == cc.net_a || victim == cc.net_b);
+  return 2 * static_cast<std::size_t>(cap) + (victim == cc.net_b ? 1 : 0);
+}
+
 const wave::Pwl& EnvelopeBuilder::envelope(net::NetId victim, layout::CapId cap) {
-  const std::uint64_t key = key_of(victim, cap);
-  {
-    std::shared_lock<std::shared_mutex> lock(cache_mu_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
+  std::call_once(table_once_, [this] {
+    table_size_ = 2 * par_->num_couplings();
+    table_ = std::make_unique<Slot[]>(table_size_);
+    cache_bytes_.add(static_cast<std::int64_t>(table_size_ * sizeof(Slot)));
+  });
+  const std::size_t side = side_index(victim, cap);
+  TKA_ASSERT(side < table_size_);
+  Slot& slot = table_[side];
+  std::uint32_t state = slot.state.load(std::memory_order_acquire);
+  for (;;) {
+    if (state == kReady) {
       cache_hits_.add();
-      return it->second;
+      return slot.env;
+    }
+    if (state == kEmpty &&
+        slot.state.compare_exchange_strong(state, kBuilding,
+                                           std::memory_order_acquire)) {
+      break;  // claimed: this caller builds
+    }
+    if (state == kBuilding) {
+      slot.state.wait(kBuilding, std::memory_order_acquire);
+      state = slot.state.load(std::memory_order_acquire);
     }
   }
-  // Build outside the lock; on a lost race try_emplace keeps the first
-  // value (both are identical — build() is a pure function of the key).
+  try {
+    slot.env = build(victim, cap, 0.0);
+  } catch (...) {
+    // Hand the side back so waiters retry instead of hanging.
+    slot.state.store(kEmpty, std::memory_order_release);
+    slot.state.notify_all();
+    throw;
+  }
+  // Entries live for the session: drop the growth slack so resident bytes
+  // track the points actually held.
+  slot.env.compact();
+  cache_bytes_.add(static_cast<std::int64_t>(slot.env.heap_bytes()));
   cache_misses_.add();
-  wave::Pwl env = build(victim, cap, 0.0);
-  // Cache entries live for the session: drop the growth slack so resident
-  // bytes track the points actually held.
-  env.compact();
-  std::unique_lock<std::shared_mutex> lock(cache_mu_);
-  auto [ins, inserted] = cache_.try_emplace(key, std::move(env));
-  if (inserted) cache_bytes_.add(entry_bytes(ins->second));
-  return ins->second;
+  slot.state.store(kReady, std::memory_order_release);
+  slot.state.notify_all();
+  return slot.env;
+}
+
+std::size_t EnvelopeBuilder::drop_sides(layout::CapId cap) {
+  if (table_ == nullptr) return 0;
+  std::size_t dropped = 0;
+  for (std::size_t side : {2 * std::size_t{cap}, 2 * std::size_t{cap} + 1}) {
+    Slot& slot = table_[side];
+    if (slot.state.load(std::memory_order_relaxed) != kReady) continue;
+    cache_bytes_.add(-static_cast<std::int64_t>(slot.env.heap_bytes()));
+    slot.env = wave::Pwl();
+    slot.state.store(kEmpty, std::memory_order_relaxed);
+    ++dropped;
+  }
+  return dropped;
 }
 
 void EnvelopeBuilder::invalidate_net(net::NetId net) {
-  static obs::Counter& c_inval =
-      obs::registry().counter("noise.envelope_cache_invalidated");
-  std::unique_lock<std::shared_mutex> lock(cache_mu_);
   std::size_t dropped = 0;
-  for (layout::CapId cap : par_->couplings_of(net)) {
-    dropped += erase_entry(key_of(net, cap));
-    dropped += erase_entry(key_of(par_->coupling(cap).other(net), cap));
-  }
-  c_inval.add(dropped);
+  for (layout::CapId cap : par_->couplings_of(net)) dropped += drop_sides(cap);
+  invalidated_counter().add(dropped);
 }
 
 void EnvelopeBuilder::invalidate_cap(layout::CapId cap) {
-  static obs::Counter& c_inval =
-      obs::registry().counter("noise.envelope_cache_invalidated");
-  const layout::CouplingCap& cc = par_->coupling(cap);
-  std::unique_lock<std::shared_mutex> lock(cache_mu_);
-  std::size_t dropped = erase_entry(key_of(cc.net_a, cap));
-  dropped += erase_entry(key_of(cc.net_b, cap));
-  c_inval.add(dropped);
-}
-
-std::size_t EnvelopeBuilder::erase_entry(std::uint64_t key) {
-  const auto it = cache_.find(key);
-  if (it == cache_.end()) return 0;
-  cache_bytes_.add(-entry_bytes(it->second));
-  cache_.erase(it);
-  return 1;
+  invalidated_counter().add(drop_sides(cap));
 }
 
 wave::Pwl EnvelopeBuilder::envelope_widened(net::NetId victim, layout::CapId cap,

@@ -1,5 +1,5 @@
 // Builds victim-referenced noise envelopes from characterized pulses and
-// aggressor timing windows, with per-(cap, victim) caching.
+// aggressor timing windows, with a per-coupling-side envelope table.
 //
 // The envelope of coupling `cap` on `victim` is the trapezoid obtained by
 // sweeping the aggressor transition over its window [EAT, LAT]; the pulse
@@ -7,8 +7,10 @@
 // t50_agg - trans/2 (paper Figure 2).
 #pragma once
 
-#include <shared_mutex>
-#include <unordered_map>
+#include <atomic>
+#include <cstdint>
+#include <memory>
+#include <mutex>
 
 #include "noise/coupling_calc.hpp"
 #include "obs/memory.hpp"
@@ -31,17 +33,21 @@ class EnvelopeBuilder {
         cache_hits_(obs::registry().counter("noise.envelope_cache_hits")),
         cache_misses_(obs::registry().counter("noise.envelope_cache_misses")) {}
 
-  /// Trapezoidal envelope of `cap` on `victim` under the current windows.
-  /// Cached; an extra `lat_extension` (>0 for higher-order aggressors)
-  /// bypasses the cache and widens the aggressor window on the LAT side.
-  /// Thread-safe: concurrent victim-sweep workers share one builder (the
-  /// returned reference stays valid — unordered_map never moves nodes).
+  /// Trapezoidal envelope of `cap` on `victim` under the current windows,
+  /// served from a dense table with one slot per coupling side. The first
+  /// caller of a side builds it; every later caller gets the same object
+  /// without taking a lock (one arriving mid-build waits for it). The
+  /// table is allocated on the first call, so builders that only use the
+  /// uncached methods below carry none. Thread-safe against concurrent
+  /// envelope() calls; the reference stays valid until the side is
+  /// invalidated or the builder destroyed.
   const wave::Pwl& envelope(net::NetId victim, layout::CapId cap);
 
-  /// Uncached variant with an explicitly widened aggressor window. A
-  /// negative `lat_extension` narrows the window (clamped at the EAT);
-  /// elimination-mode higher-order atoms use this to model window
-  /// narrowing when an aggressor's own noise is removed.
+  /// Uncached envelope with an explicitly widened aggressor window: equal
+  /// to envelope() at `lat_extension` 0. A negative `lat_extension`
+  /// narrows the window (clamped at the EAT); elimination-mode higher-order
+  /// atoms use this to model window narrowing when an aggressor's own
+  /// noise is removed.
   wave::Pwl envelope_widened(net::NetId victim, layout::CapId cap,
                              double lat_extension) const;
 
@@ -54,40 +60,52 @@ class EnvelopeBuilder {
   /// The characterized pulse shape for (victim, cap).
   wave::PulseShape pulse_shape(net::NetId victim, layout::CapId cap) const;
 
-  /// Drops every cached envelope touching `net` — as the victim side or as
+  /// Drops every table entry touching `net` — as the victim side or as
   /// the aggressor of one of its couplings. Sessions call this after an
   /// edit (or a window change at `net`) so only the affected entries
-  /// rebuild; everything else keeps hitting the cache.
+  /// rebuild; everything else keeps hitting the table. Between queries
+  /// only: must not run concurrently with envelope().
   void invalidate_net(net::NetId net);
 
-  /// Drops both victim sides of one coupling.
+  /// Drops both victim sides of one coupling. Between queries only.
   void invalidate_cap(layout::CapId cap);
 
   const sta::WindowTable& windows() const { return *windows_; }
 
  private:
+  // A slot moves kEmpty -> kBuilding (the caller that wins the exchange
+  // builds) -> kReady (published with release; readers acquire). Only
+  // invalidation between queries, or a build that throws, returns it to
+  // kEmpty.
+  enum : std::uint32_t { kEmpty = 0, kBuilding = 1, kReady = 2 };
+  struct Slot {
+    std::atomic<std::uint32_t> state{kEmpty};
+    wave::Pwl env;
+  };
+
   wave::Pwl build(net::NetId victim, layout::CapId cap, double lat_extension) const;
-  /// Erases one cache entry (caller holds cache_mu_ exclusively), keeping
-  /// the byte accounting in step. Returns the number of entries removed.
-  std::size_t erase_entry(std::uint64_t key);
+  /// Table index of a side: 2 * cap + (victim == net_b), the same indexing
+  /// as AggressorFilter.
+  std::size_t side_index(net::NetId victim, layout::CapId cap) const;
+  /// Returns both sides of `cap` to kEmpty where built, keeping the byte
+  /// accounting in step. Returns the number of sides dropped.
+  std::size_t drop_sides(layout::CapId cap);
 
   const net::Netlist* nl_;
   const layout::Parasitics* par_;
   const CouplingCalculator* calc_;
   const sta::WindowTable* windows_;
-  // Cache keyed by (victim, cap) — a cap has two victim sides. Guarded by
-  // cache_mu_ so parallel victim sweeps can share the builder; values are
-  // pure functions of the key, so a racing double-build is just discarded.
-  mutable std::shared_mutex cache_mu_;
-  std::unordered_map<std::uint64_t, wave::Pwl> cache_;
-  // Hit/miss tallies (relaxed atomics; no-ops with TKA_OBS_DISABLED).
-  // With several threads racing on a cold key the miss count can exceed
-  // the number of distinct keys — each racer builds once.
+  std::once_flag table_once_;
+  std::unique_ptr<Slot[]> table_;  // 2 * num_couplings slots, lazily
+  std::size_t table_size_ = 0;
+  // Hit/miss tallies (relaxed atomics; no-ops with TKA_OBS_DISABLED). A
+  // side is built at most once between invalidations, so misses count the
+  // builds and hits + misses count envelope() calls, at any thread count.
   obs::Counter& cache_hits_;
   obs::Counter& cache_misses_;
-  // Approximate cache footprint, published to the mem.envelope_cache_bytes
-  // gauge. The builder's contribution auto-releases on destruction, so the
-  // gauge returns to zero when every builder is torn down.
+  // Table footprint (slots plus built points), published to the
+  // mem.envelope_cache_bytes gauge. The builder's contribution releases on
+  // destruction, so the gauge returns to zero when every builder is gone.
   obs::TrackedBytes cache_bytes_{"mem.envelope_cache_bytes"};
 };
 

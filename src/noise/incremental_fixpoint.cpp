@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "obs/obs.hpp"
-#include "runtime/runtime.hpp"
+#include "runtime/task_graph.hpp"
 #include "sta/incremental.hpp"
 #include "util/assert.hpp"
 #include "util/logging.hpp"
@@ -140,10 +140,11 @@ const NoiseReport& IncrementalFixpoint::refresh(
     for (net::NetId v = 0; v < num_nets; ++v) {
       if (dv[v] || !have_ref) dirty_list.push_back(v);
     }
-    runtime::parallel_for(opt_.threads, 0, dirty_list.size(), [&](std::size_t i) {
-      const net::NetId v = dirty_list[i];
-      bump[v] = analyzer.delay_noise_upper_bound(v, builder, mask);
-    });
+    runtime::parallel_for_dynamic(
+        opt_.threads, 0, dirty_list.size(), [&](std::size_t i) {
+          const net::NetId v = dirty_list[i];
+          bump[v] = analyzer.delay_noise_upper_bound(v, builder, mask);
+        });
     for (net::NetId v : dirty_list) {
       bump_dirty[v] = (!have_ref || bump[v] != traj_.bumps[0][v]) ? 1 : 0;
     }
@@ -183,11 +184,12 @@ const NoiseReport& IncrementalFixpoint::refresh(
     std::vector<double> next = have_next
                                    ? traj_.bumps[idx + 1]
                                    : std::vector<double>(num_nets, 0.0);
-    runtime::parallel_for(opt_.threads, 0, dirty_list.size(), [&](std::size_t i) {
-      const net::NetId v = dirty_list[i];
-      const double t50 = cur.windows[v].lat - bump[v];
-      next[v] = analyzer.victim_delay_noise_at(v, builder, mask, t50);
-    });
+    runtime::parallel_for_dynamic(
+        opt_.threads, 0, dirty_list.size(), [&](std::size_t i) {
+          const net::NetId v = dirty_list[i];
+          const double t50 = cur.windows[v].lat - bump[v];
+          next[v] = analyzer.victim_delay_noise_at(v, builder, mask, t50);
+        });
     std::vector<char> nbd(num_nets, 0);
     for (net::NetId v : dirty_list) {
       nbd[v] = (!have_next || next[v] != traj_.bumps[idx + 1][v]) ? 1 : 0;

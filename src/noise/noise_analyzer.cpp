@@ -30,25 +30,38 @@ double delay_noise(const wave::Pwl& victim_wave, const wave::Pwl& envelope,
   return std::max(0.0, delay_shift(victim_wave, envelope, vdd, noiseless_t50));
 }
 
-wave::Pwl NoiseAnalyzer::combined_envelope(net::NetId victim, EnvelopeBuilder& builder,
-                                           const CouplingMask& mask) const {
+namespace {
+
+// Sum of the non-empty waveforms in `parts`.
+wave::Pwl sum_nonempty(const std::vector<wave::Pwl>& parts) {
   std::vector<const wave::Pwl*> terms;
-  for (layout::CapId id : par_->couplings_of(victim)) {
-    if (!mask.active(id)) continue;
-    const wave::Pwl& env = builder.envelope(victim, id);
-    if (!env.empty()) terms.push_back(&env);
+  for (const wave::Pwl& p : parts) {
+    if (!p.empty()) terms.push_back(&p);
   }
   return wave::Pwl::sum(terms);
 }
 
-double NoiseAnalyzer::victim_delay_noise(net::NetId victim, EnvelopeBuilder& builder,
+}  // namespace
+
+wave::Pwl NoiseAnalyzer::combined_envelope(net::NetId victim,
+                                           const EnvelopeBuilder& builder,
+                                           const CouplingMask& mask) const {
+  std::vector<wave::Pwl> envs;
+  for (layout::CapId id : par_->couplings_of(victim)) {
+    if (mask.active(id)) envs.push_back(builder.envelope_widened(victim, id, 0.0));
+  }
+  return sum_nonempty(envs);
+}
+
+double NoiseAnalyzer::victim_delay_noise(net::NetId victim,
+                                         const EnvelopeBuilder& builder,
                                          const CouplingMask& mask) const {
   return victim_delay_noise_at(victim, builder, mask,
                                builder.windows()[victim].lat);
 }
 
 double NoiseAnalyzer::victim_delay_noise_at(net::NetId victim,
-                                            EnvelopeBuilder& builder,
+                                            const EnvelopeBuilder& builder,
                                             const CouplingMask& mask,
                                             double t50) const {
   const sta::TimingWindow& w = builder.windows()[victim];
@@ -60,7 +73,7 @@ double NoiseAnalyzer::victim_delay_noise_at(net::NetId victim,
 }
 
 double NoiseAnalyzer::delay_noise_upper_bound(net::NetId victim,
-                                              EnvelopeBuilder& builder,
+                                              const EnvelopeBuilder& builder,
                                               const CouplingMask& mask) const {
   const sta::TimingWindow& w = builder.windows()[victim];
   // Plateau span: the victim's whole switching region plus the worst-case
@@ -84,21 +97,18 @@ double NoiseAnalyzer::delay_noise_upper_bound(net::NetId victim,
   const double t_hi = w.lat + w.trans_late * (peak_sum / vdd()) + max_tail;
 
   std::vector<wave::Pwl> plateaus;
-  std::vector<const wave::Pwl*> terms;
   for (layout::CapId id : par_->couplings_of(victim)) {
     if (!mask.active(id)) continue;
     plateaus.push_back(builder.plateau_envelope(victim, id, t_lo, t_hi));
   }
-  for (const wave::Pwl& p : plateaus) {
-    if (!p.empty()) terms.push_back(&p);
-  }
-  const wave::Pwl env = wave::Pwl::sum(terms);
+  const wave::Pwl env = sum_nonempty(plateaus);
   const wave::Pwl vic = victim_transition(w, vdd());
   return delay_noise(vic, env, vdd(), w.lat);
 }
 
 wave::DominanceInterval NoiseAnalyzer::dominance_interval(
-    net::NetId victim, EnvelopeBuilder& builder, const CouplingMask& mask) const {
+    net::NetId victim, const EnvelopeBuilder& builder,
+    const CouplingMask& mask) const {
   const sta::TimingWindow& w = builder.windows()[victim];
   wave::DominanceInterval iv;
   iv.lo = w.lat;  // noiseless victim t50

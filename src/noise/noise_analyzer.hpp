@@ -53,38 +53,43 @@ double delay_noise(const wave::Pwl& victim_wave, const wave::Pwl& envelope,
 double delay_shift(const wave::Pwl& victim_wave, const wave::Pwl& envelope,
                    double vdd, double noiseless_t50);
 
-/// Stateless per-victim noise queries over an EnvelopeBuilder.
+/// Stateless per-victim noise queries over an EnvelopeBuilder. None of
+/// them reads the builder's envelope table: the fixpoint sweeps call them
+/// once per victim per iteration on a fresh builder, where a shared cache
+/// would only add contention.
 class NoiseAnalyzer {
  public:
   NoiseAnalyzer(const net::Netlist& nl, const layout::Parasitics& par,
                 const sta::DelayModel& model)
       : nl_(&nl), par_(&par), model_(&model) {}
 
-  /// Combined envelope of the victim's active couplings.
-  wave::Pwl combined_envelope(net::NetId victim, EnvelopeBuilder& builder,
+  /// Combined envelope of the victim's active couplings, each built fresh
+  /// (bit-identical to the builder's cached envelope()).
+  wave::Pwl combined_envelope(net::NetId victim, const EnvelopeBuilder& builder,
                               const CouplingMask& mask) const;
 
   /// Worst-case delay noise on the victim from its active couplings
   /// (primary aggressors only; propagation is the iterative engine's job).
-  double victim_delay_noise(net::NetId victim, EnvelopeBuilder& builder,
+  double victim_delay_noise(net::NetId victim, const EnvelopeBuilder& builder,
                             const CouplingMask& mask) const;
 
   /// Same, but with the victim transition anchored at an explicit t50
   /// instead of the window's LAT. The iterative fixpoint uses this to keep
   /// a net's own noise bump out of its own alignment (a victim must not
   /// "escape" its own noise — that feedback creates limit cycles).
-  double victim_delay_noise_at(net::NetId victim, EnvelopeBuilder& builder,
+  double victim_delay_noise_at(net::NetId victim, const EnvelopeBuilder& builder,
                                const CouplingMask& mask, double t50) const;
 
   /// Upper bound on the victim's delay noise: all active aggressors given
   /// infinite timing windows (plateau envelopes across the victim's
   /// switching region). Closes the dominance interval (paper §3.2).
-  double delay_noise_upper_bound(net::NetId victim, EnvelopeBuilder& builder,
+  double delay_noise_upper_bound(net::NetId victim,
+                                 const EnvelopeBuilder& builder,
                                  const CouplingMask& mask) const;
 
   /// Dominance interval for the victim: [noiseless t50, t50 + upper bound].
   wave::DominanceInterval dominance_interval(net::NetId victim,
-                                             EnvelopeBuilder& builder,
+                                             const EnvelopeBuilder& builder,
                                              const CouplingMask& mask) const;
 
   double vdd() const { return model_->options().vdd; }

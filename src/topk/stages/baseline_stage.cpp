@@ -5,6 +5,7 @@
 
 #include "net/topo.hpp"
 #include "obs/obs.hpp"
+#include "runtime/task_graph.hpp"
 #include "sta/critical_path.hpp"
 #include "util/assert.hpp"
 
@@ -143,9 +144,12 @@ void BaselineStage::prime(const DesignRef& design, const TopkOptions& opt,
       nl, par, *design.calc, *state->windows);
 
   // False-aggressor prefilter and the per-victim active coupling lists.
+  // The per-victim passes (filter, victim derivation, upper bounds) run at
+  // the query's thread count; each victim writes only its own slots, so
+  // no value depends on the schedule.
   if (opt.use_filter) {
     state->filter = std::make_unique<noise::AggressorFilter>(
-        nl, par, *state->analyzer, *state->builder, opt.filter);
+        nl, par, *state->analyzer, *state->builder, opt.filter, opt.threads);
   }
   state->active_caps.assign(num_nets, {});
   for (layout::CapId id = 0; id < num_caps; ++id) {
@@ -165,16 +169,18 @@ void BaselineStage::prime(const DesignRef& design, const TopkOptions& opt,
   state->vic_wave.assign(num_nets, {});
   state->total_env.assign(num_nets, {});
   state->dn_total.assign(num_nets, 0.0);
-  for (net::NetId v = 0; v < num_nets; ++v) derive_victim(design, opt, state, v);
+  runtime::parallel_for_dynamic(opt.threads, 0, num_nets, [&](std::size_t v) {
+    derive_victim(design, opt, state, v);
+  });
 
   // Dominance intervals with propagated upper bounds.
   state->topo = net::topological_nets(nl);
   state->local_ub.assign(num_nets, 0.0);
   state->cum_ub.assign(num_nets, 0.0);
-  for (net::NetId v : state->topo) {
+  runtime::parallel_for_dynamic(opt.threads, 0, num_nets, [&](std::size_t v) {
     state->local_ub[v] =
         state->analyzer->delay_noise_upper_bound(v, *state->builder, mask_all);
-  }
+  });
   propagate_ub(design, state);
   state->iv.assign(num_nets, {});
   rebuild_intervals(state);

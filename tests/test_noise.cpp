@@ -1,16 +1,23 @@
-// Tests for the noise engine: coupling calculators, envelope construction,
-// delay-noise superposition, the iterative window/noise fixpoint and the
-// false-aggressor filter.
+// Tests for the noise engine: coupling calculators, envelope construction
+// and the envelope table, delay-noise superposition, the iterative
+// window/noise fixpoint and the false-aggressor filter.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <random>
+#include <thread>
 
 #include "fixtures.hpp"
+#include "gen/circuit_generator.hpp"
 #include "noise/aggressor_filter.hpp"
 #include "noise/coupling_calc.hpp"
 #include "noise/envelope_builder.hpp"
 #include "noise/iterative.hpp"
 #include "noise/noise_analyzer.hpp"
+#include "obs/memory.hpp"
+#include "obs/metrics.hpp"
 #include "sta/analyzer.hpp"
 #include "wave/ramp.hpp"
 
@@ -26,6 +33,46 @@ struct Bound {
       : model(*fx.netlist, fx.parasitics),
         sta(sta::run_sta(*fx.netlist, model, fx.sta_options())) {}
 };
+
+gen::GeneratedCircuit generated_circuit(std::uint64_t seed) {
+  gen::GeneratorParams p;
+  p.name = "envtable";
+  p.num_gates = 60;
+  p.target_couplings = 140;
+  p.seed = seed;
+  return gen::generate_circuit(p);
+}
+
+// A generated design with its noiseless windows, for the envelope-table and
+// filter tests that need many coupling sides.
+struct Generated {
+  gen::GeneratedCircuit ckt;
+  sta::DelayModel model;
+  sta::StaResult sta;
+  AnalyticCouplingCalculator calc;
+  explicit Generated(std::uint64_t seed)
+      : ckt(generated_circuit(seed)),
+        model(*ckt.netlist, ckt.parasitics),
+        sta(sta::run_sta(*ckt.netlist, model, ckt.sta_options())),
+        calc(ckt.parasitics, model) {}
+
+  /// Every (victim, cap) side, cap-major.
+  std::vector<std::pair<net::NetId, layout::CapId>> sides() const {
+    std::vector<std::pair<net::NetId, layout::CapId>> out;
+    for (layout::CapId id = 0; id < ckt.parasitics.num_couplings(); ++id) {
+      const layout::CouplingCap& cc = ckt.parasitics.coupling(id);
+      out.emplace_back(cc.net_a, id);
+      out.emplace_back(cc.net_b, id);
+    }
+    return out;
+  }
+};
+
+bool same_bits(const wave::Pwl& a, const wave::Pwl& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.points().data(), b.points().data(),
+                     a.size() * sizeof(wave::Point)) == 0;
+}
 
 TEST(AnalyticCalc, PeakFormulaAndBounds) {
   Fixture fx = test::make_parallel_chains(2, 2);
@@ -187,6 +234,87 @@ TEST(EnvelopeBuilderTest, PlateauCoversTrapezoid) {
   const wave::Pwl plateau =
       builder.plateau_envelope(v, cap, aw.eat - 1.0, aw.lat + 5.0);
   EXPECT_TRUE(plateau.encapsulates(builder.envelope(v, cap), -10.0, 20.0, 1e-9));
+}
+
+TEST(EnvelopeTable, ConcurrentRequestsBuildEachSideOnce) {
+  Generated g(17);
+  EnvelopeBuilder builder(*g.ckt.netlist, g.ckt.parasitics, g.calc,
+                          g.sta.windows);
+  const auto sides = g.sides();
+  ASSERT_GT(sides.size(), 100u);
+  obs::Counter& hits = obs::registry().counter("noise.envelope_cache_hits");
+  obs::Counter& misses = obs::registry().counter("noise.envelope_cache_misses");
+  [[maybe_unused]] const std::uint64_t hits_before = hits.value();
+  [[maybe_unused]] const std::uint64_t misses_before = misses.value();
+
+  // Every thread requests every side, each in its own shuffled order, so
+  // first requests of a side race across threads.
+  constexpr int kThreads = 4;
+  std::vector<std::vector<const wave::Pwl*>> seen(
+      kThreads, std::vector<const wave::Pwl*>(sides.size(), nullptr));
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      std::vector<std::size_t> order(sides.size());
+      std::iota(order.begin(), order.end(), 0);
+      std::shuffle(order.begin(), order.end(), std::mt19937(t + 1));
+      for (std::size_t i : order) {
+        seen[t][i] = &builder.envelope(sides[i].first, sides[i].second);
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+#ifndef TKA_OBS_DISABLED
+  EXPECT_EQ(misses.value() - misses_before, sides.size());
+  EXPECT_EQ(hits.value() - hits_before, (kThreads - 1) * sides.size());
+#endif
+  for (std::size_t i = 0; i < sides.size(); ++i) {
+    for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t][i], seen[0][i]) << i;
+    const wave::Pwl fresh =
+        builder.envelope_widened(sides[i].first, sides[i].second, 0.0);
+    EXPECT_TRUE(same_bits(*seen[0][i], fresh)) << i;
+  }
+}
+
+TEST(EnvelopeTable, InvalidationRebuildsSamePointsAndReleasesBytes) {
+  Generated g(23);
+  const auto sides = g.sides();
+  const layout::Parasitics& par = g.ckt.parasitics;
+  obs::Counter& misses = obs::registry().counter("noise.envelope_cache_misses");
+  obs::Counter& invalidated =
+      obs::registry().counter("noise.envelope_cache_invalidated");
+  {
+    EnvelopeBuilder builder(*g.ckt.netlist, par, g.calc, g.sta.windows);
+    std::vector<wave::Pwl> first;
+    for (const auto& [v, cap] : sides) first.push_back(builder.envelope(v, cap));
+    [[maybe_unused]] const std::int64_t full_bytes =
+        obs::TrackedBytes::total("mem.envelope_cache_bytes");
+
+    // Drop every side of one net, plus one coupling that does not touch it.
+    const net::NetId net = sides.front().first;
+    layout::CapId far = 0;
+    while (par.coupling(far).net_a == net || par.coupling(far).net_b == net) {
+      ++far;
+    }
+    [[maybe_unused]] const std::uint64_t inval_before = invalidated.value();
+    builder.invalidate_net(net);
+    builder.invalidate_cap(far);
+    [[maybe_unused]] const std::uint64_t dropped =
+        2 * par.couplings_of(net).size() + 2;
+    [[maybe_unused]] const std::uint64_t misses_before = misses.value();
+    for (std::size_t i = 0; i < sides.size(); ++i) {
+      const wave::Pwl& again = builder.envelope(sides[i].first, sides[i].second);
+      EXPECT_TRUE(same_bits(again, first[i])) << i;
+    }
+#ifndef TKA_OBS_DISABLED
+    EXPECT_EQ(invalidated.value() - inval_before, dropped);
+    EXPECT_EQ(misses.value() - misses_before, dropped);
+    EXPECT_GT(full_bytes, 0);
+    EXPECT_EQ(obs::TrackedBytes::total("mem.envelope_cache_bytes"), full_bytes);
+#endif
+  }
+  EXPECT_EQ(obs::TrackedBytes::total("mem.envelope_cache_bytes"), 0);
 }
 
 TEST(Analyzer, MoreAggressorsMoreNoise) {
@@ -391,6 +519,60 @@ TEST(Filter, ZeroedAndTinyCapsFiltered) {
   AggressorFilter filter(*fx.netlist, fx.parasitics, analyzer, builder, {});
   EXPECT_TRUE(filter.is_false(fx.netlist->net_by_name("c0_n0"), dead));
   EXPECT_TRUE(filter.is_false(fx.netlist->net_by_name("c0_n1"), tiny));
+}
+
+TEST(Filter, VerdictsIndependentOfThreadCount) {
+  Generated g(31);
+  const auto sides = g.sides();
+  NoiseAnalyzer analyzer(*g.ckt.netlist, g.ckt.parasitics, g.model);
+  EnvelopeBuilder builder(*g.ckt.netlist, g.ckt.parasitics, g.calc,
+                          g.sta.windows);
+  const AggressorFilter serial(*g.ckt.netlist, g.ckt.parasitics, analyzer,
+                               builder, {}, 1);
+  const AggressorFilter parallel(*g.ckt.netlist, g.ckt.parasitics, analyzer,
+                                 builder, {}, 4);
+  // Both rule outcomes occur, so the comparison is not vacuous.
+  EXPECT_GT(serial.num_filtered(), 0u);
+  EXPECT_LT(serial.num_filtered(), serial.num_sides());
+  EXPECT_EQ(parallel.num_filtered(), serial.num_filtered());
+  EXPECT_EQ(parallel.num_sides(), serial.num_sides());
+  for (const auto& [v, cap] : sides) {
+    EXPECT_EQ(parallel.is_false(v, cap), serial.is_false(v, cap))
+        << "net " << v << " cap " << cap;
+  }
+}
+
+TEST(Filter, RefreshAfterCouplingEditMatchesRebuild) {
+  Generated g(31);
+  layout::Parasitics& par = g.ckt.parasitics;
+  const auto sides = g.sides();
+  NoiseAnalyzer analyzer(*g.ckt.netlist, par, g.model);
+  EnvelopeBuilder builder(*g.ckt.netlist, par, g.calc, g.sta.windows);
+  AggressorFilter filter(*g.ckt.netlist, par, analyzer, builder, {}, 4);
+
+  // Zero a coupling that is live on both sides, then refresh its endpoints
+  // the way a session does after an edit (windows held fixed).
+  layout::CapId edit = 0;
+  while (filter.is_false(par.coupling(edit).net_a, edit) ||
+         filter.is_false(par.coupling(edit).net_b, edit)) {
+    ++edit;
+    ASSERT_LT(edit, par.num_couplings());
+  }
+  const std::size_t before = filter.num_filtered();
+  par.zero_coupling(edit);
+  const std::vector<net::NetId> nets = {par.coupling(edit).net_a,
+                                        par.coupling(edit).net_b};
+  filter.refresh(nets, analyzer, builder);
+  EXPECT_TRUE(filter.is_false(nets[0], edit));
+  EXPECT_TRUE(filter.is_false(nets[1], edit));
+  EXPECT_GE(filter.num_filtered(), before + 2);
+
+  const AggressorFilter fresh(*g.ckt.netlist, par, analyzer, builder, {}, 1);
+  EXPECT_EQ(filter.num_filtered(), fresh.num_filtered());
+  for (const auto& [v, cap] : sides) {
+    EXPECT_EQ(filter.is_false(v, cap), fresh.is_false(v, cap))
+        << "net " << v << " cap " << cap;
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "io/report_writer.hpp"
 #include "noise/coupling_calc.hpp"
 #include "noise/iterative.hpp"
+#include "obs/metrics.hpp"
 #include "topk/brute_force.hpp"
 #include "topk/topk_engine.hpp"
 #include "util/rng.hpp"
@@ -65,18 +66,45 @@ std::string normalized_report_json(const Pipeline& pl, topk::TopkResult res,
   return out.str();
 }
 
+// Envelope-table hit and miss deltas over one engine run.
+struct CacheCounts {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+};
+
+topk::TopkResult run_counted(const Pipeline& pl, const topk::TopkOptions& opt,
+                             CacheCounts* counts) {
+  obs::Counter& hits = obs::registry().counter("noise.envelope_cache_hits");
+  obs::Counter& misses = obs::registry().counter("noise.envelope_cache_misses");
+  const std::uint64_t hits_before = hits.value();
+  const std::uint64_t misses_before = misses.value();
+  topk::TopkResult res = pl.engine->run(opt);
+  counts->hits = hits.value() - hits_before;
+  counts->misses = misses.value() - misses_before;
+  return res;
+}
+
 TEST(ParallelEquivalence, EngineBitIdenticalAcrossThreadCounts) {
   Pipeline pl(circuit());
   for (topk::Mode mode : {topk::Mode::kAddition, topk::Mode::kElimination}) {
+    CacheCounts serial_counts;
     const topk::TopkResult serial =
-        pl.engine->run(engine_options(pl, mode, 1));
+        run_counted(pl, engine_options(pl, mode, 1), &serial_counts);
     EXPECT_EQ(serial.stats.threads, 1);
     const std::string serial_json =
         normalized_report_json(pl, serial, 4);
     for (int threads : {2, 8}) {
+      CacheCounts counts;
       const topk::TopkResult par =
-          pl.engine->run(engine_options(pl, mode, threads));
+          run_counted(pl, engine_options(pl, mode, threads), &counts);
       EXPECT_EQ(par.stats.threads, threads);
+#ifndef TKA_OBS_DISABLED
+      // Each coupling side is built at most once, so the envelope table's
+      // hit and miss counts do not depend on the schedule either.
+      EXPECT_GT(counts.misses, 0u);
+      EXPECT_EQ(counts.hits, serial_counts.hits) << threads;
+      EXPECT_EQ(counts.misses, serial_counts.misses) << threads;
+#endif
       // The chosen set, every per-cardinality winner and every delay are
       // bitwise equal — no tolerance.
       EXPECT_EQ(par.members, serial.members) << threads;
