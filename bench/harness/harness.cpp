@@ -9,6 +9,7 @@
 #include "obs/obs.hpp"
 #include "obs/signal_flush.hpp"
 #include "runtime/runtime.hpp"
+#include "runtime/telemetry.hpp"
 #include "util/logging.hpp"
 #include "util/string_util.hpp"
 #include "util/timer.hpp"

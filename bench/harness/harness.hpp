@@ -113,8 +113,8 @@ struct LaneUsage {
   double utilization = 0.0;
   std::uint64_t tasks = 0;
   /// Task-graph tasks this lane stole from another lane's deque. Zero on
-  /// static parallel_for work; informational (never gated — steal counts
-  /// depend on thread count and timing).
+  /// inline work; informational (never gated — steal counts depend on
+  /// thread count and timing).
   std::uint64_t steals = 0;
 };
 

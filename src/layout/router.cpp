@@ -2,12 +2,6 @@
 
 namespace tka::layout {
 
-double SinkSegments::length() const {
-  double len = 0.0;
-  for (const Segment& s : segments) len += s.length();
-  return len;
-}
-
 double Route::total_length() const {
   double len = 0.0;
   for (const Segment& s : segments) len += s.length();
@@ -22,13 +16,9 @@ std::vector<Route> route_all(const net::Netlist& nl, const Placement& placement)
     const XY src = placement.driver_of(nl, n);
     for (const net::PinRef& pin : nl.net(n).fanouts) {
       const XY dst = placement.gate(pin.gate);
-      SinkSegments sink;
-      sink.pin = pin;
       // L-route: horizontal run at the driver's y, then vertical drop.
-      if (src.x != dst.x) sink.segments.push_back(make_h(src.y, src.x, dst.x));
-      if (src.y != dst.y) sink.segments.push_back(make_v(dst.x, src.y, dst.y));
-      r.segments.insert(r.segments.end(), sink.segments.begin(), sink.segments.end());
-      r.sinks.push_back(std::move(sink));
+      if (src.x != dst.x) r.segments.push_back(make_h(src.y, src.x, dst.x));
+      if (src.y != dst.y) r.segments.push_back(make_v(dst.x, src.y, dst.y));
     }
     // A net with no fanout (dangling primary output) still gets a stub so
     // it has nonzero parasitics.

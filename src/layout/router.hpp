@@ -10,21 +10,11 @@
 
 namespace tka::layout {
 
-/// The segments routed for one sink pin (its L-shape from the driver).
-struct SinkSegments {
-  net::PinRef pin;
-  std::vector<Segment> segments;
-
-  double length() const;
-};
-
-/// All wire segments of one net. `segments` is the flat list the extractor
-/// consumes; `sinks` keeps the per-sink grouping for Elmore-style per-pin
-/// delay analysis.
+/// All wire segments of one net, in sink order: the flat list the
+/// extractor consumes.
 struct Route {
   net::NetId net = net::kInvalidNet;
   std::vector<Segment> segments;
-  std::vector<SinkSegments> sinks;
 
   double total_length() const;
 };

@@ -51,58 +51,4 @@ std::vector<int> net_levels(const Netlist& nl) {
   return level;
 }
 
-std::vector<NetId> fanin_cone(const Netlist& nl, NetId net) {
-  std::vector<bool> seen(nl.num_nets(), false);
-  std::vector<NetId> stack;
-  std::vector<NetId> cone;
-  auto push_fanins = [&](NetId id) {
-    const Net& n = nl.net(id);
-    if (n.driver == kInvalidGate) return;
-    for (NetId in : nl.gate(n.driver).inputs) {
-      if (!seen[in]) {
-        seen[in] = true;
-        stack.push_back(in);
-      }
-    }
-  };
-  push_fanins(net);
-  while (!stack.empty()) {
-    const NetId cur = stack.back();
-    stack.pop_back();
-    cone.push_back(cur);
-    push_fanins(cur);
-  }
-  std::sort(cone.begin(), cone.end());
-  return cone;
-}
-
-std::vector<NetId> fanout_cone(const Netlist& nl, NetId net) {
-  std::vector<bool> seen(nl.num_nets(), false);
-  std::vector<NetId> stack;
-  std::vector<NetId> cone;
-  auto push_fanouts = [&](NetId id) {
-    for (const PinRef& p : nl.net(id).fanouts) {
-      const NetId out = nl.gate(p.gate).output;
-      if (!seen[out]) {
-        seen[out] = true;
-        stack.push_back(out);
-      }
-    }
-  };
-  push_fanouts(net);
-  while (!stack.empty()) {
-    const NetId cur = stack.back();
-    stack.pop_back();
-    cone.push_back(cur);
-    push_fanouts(cur);
-  }
-  std::sort(cone.begin(), cone.end());
-  return cone;
-}
-
-bool in_fanin_cone(const Netlist& nl, NetId a, NetId b) {
-  const std::vector<NetId> cone = fanin_cone(nl, b);
-  return std::binary_search(cone.begin(), cone.end(), a);
-}
-
 }  // namespace tka::net

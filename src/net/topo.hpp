@@ -1,6 +1,6 @@
-// Topological utilities over the netlist DAG: net ordering, levelization,
-// and transitive fanin/fanout cones. The top-k propagation (paper §3.1)
-// walks victims strictly in topological net order.
+// Topological utilities over the netlist DAG: net ordering and
+// levelization. The top-k propagation (paper §3.1) walks victims strictly
+// in topological net order.
 #pragma once
 
 #include <vector>
@@ -16,15 +16,5 @@ std::vector<NetId> topological_nets(const Netlist& nl);
 /// Logic level per net: primary inputs are level 0; a gate output is
 /// 1 + max(level of fanins).
 std::vector<int> net_levels(const Netlist& nl);
-
-/// Transitive fanin cone of `net` (nets whose value can reach `net`),
-/// excluding `net` itself.
-std::vector<NetId> fanin_cone(const Netlist& nl, NetId net);
-
-/// Transitive fanout cone of `net`, excluding `net` itself.
-std::vector<NetId> fanout_cone(const Netlist& nl, NetId net);
-
-/// True if `a` lies in the transitive fanin cone of `b`.
-bool in_fanin_cone(const Netlist& nl, NetId a, NetId b);
 
 }  // namespace tka::net

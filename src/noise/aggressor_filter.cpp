@@ -4,7 +4,7 @@
 #include <array>
 
 #include "obs/obs.hpp"
-#include "runtime/task_graph.hpp"
+#include "runtime/runtime.hpp"
 #include "util/assert.hpp"
 #include "util/logging.hpp"
 
@@ -22,7 +22,7 @@ AggressorFilter::AggressorFilter(const net::Netlist& nl, const layout::Parasitic
         nl, opt_.functional_events, opt_.functional_seed));
   }
   const CouplingMask all = CouplingMask::all(par.num_couplings());
-  runtime::parallel_for_dynamic(threads, 0, nl.num_nets(), [&](std::size_t v) {
+  runtime::parallel_for(threads, 0, nl.num_nets(), [&](std::size_t v) {
     // The dominance interval (an upper bound over all of the victim's
     // couplings) is computed on the first side that reaches the window rule.
     std::optional<wave::DominanceInterval> iv;

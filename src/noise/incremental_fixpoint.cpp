@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "obs/obs.hpp"
-#include "runtime/task_graph.hpp"
+#include "runtime/runtime.hpp"
 #include "sta/incremental.hpp"
 #include "util/assert.hpp"
 #include "util/logging.hpp"
@@ -140,7 +140,7 @@ const NoiseReport& IncrementalFixpoint::refresh(
     for (net::NetId v = 0; v < num_nets; ++v) {
       if (dv[v] || !have_ref) dirty_list.push_back(v);
     }
-    runtime::parallel_for_dynamic(
+    runtime::parallel_for(
         opt_.threads, 0, dirty_list.size(), [&](std::size_t i) {
           const net::NetId v = dirty_list[i];
           bump[v] = analyzer.delay_noise_upper_bound(v, builder, mask);
@@ -184,7 +184,7 @@ const NoiseReport& IncrementalFixpoint::refresh(
     std::vector<double> next = have_next
                                    ? traj_.bumps[idx + 1]
                                    : std::vector<double>(num_nets, 0.0);
-    runtime::parallel_for_dynamic(
+    runtime::parallel_for(
         opt_.threads, 0, dirty_list.size(), [&](std::size_t i) {
           const net::NetId v = dirty_list[i];
           const double t50 = cur.windows[v].lat - bump[v];

@@ -5,7 +5,6 @@
 
 #include "obs/obs.hpp"
 #include "runtime/runtime.hpp"
-#include "runtime/task_graph.hpp"
 #include "util/assert.hpp"
 #include "util/logging.hpp"
 
@@ -57,7 +56,7 @@ NoiseReport analyze_iterative(const net::Netlist& nl, const layout::Parasitics& 
     // (coupling counts differ by orders of magnitude), which static chunks
     // serialize on the unluckiest lane. Per-index slots + no reduction, so
     // the dynamic schedule cannot change the result.
-    runtime::parallel_for_dynamic(
+    runtime::parallel_for(
         opt.threads, 0, nl.num_nets(), [&](std::size_t v) {
           bump[v] = analyzer.delay_noise_upper_bound(v, builder, mask);
         });
@@ -81,7 +80,7 @@ NoiseReport analyze_iterative(const net::Netlist& nl, const layout::Parasitics& 
     // The relaxation sweep: every victim's new bump depends only on the
     // frozen `current` windows and `bump` of this iteration, so victims
     // are embarrassingly parallel; each writes its own slot.
-    runtime::parallel_for_dynamic(
+    runtime::parallel_for(
         opt.threads, 0, nl.num_nets(), [&](std::size_t v) {
           // Anchor each victim at its upstream-noisy arrival *excluding its
           // own bump*: a net cannot dodge its own delay noise, and letting

@@ -220,8 +220,7 @@ void register_core_metrics() {
         // Thread-pool attribution aggregates (see src/runtime/telemetry.hpp).
         "runtime.workers", "runtime.lanes", "runtime.exec_s",
         "runtime.queue_idle_s", "runtime.barrier_wait_s", "runtime.tasks",
-        "runtime.parallel_fors", "runtime.inline_fors",
-        "runtime.wavefront_levels",
+        "runtime.inline_fors",
         // Per-query runtime deltas published by AnalysisSession::query.
         "runtime.query.exec_s", "runtime.query.barrier_wait_s",
         "runtime.query.queue_idle_s", "runtime.query.wall_s",
@@ -235,8 +234,6 @@ void register_core_metrics() {
   reg.histogram("noise.fixpoint_iters", 1.0, 64.0);
   reg.histogram("sta.run_seconds", 1e-6, 100.0);
   reg.histogram("transient.solve_seconds", 1e-6, 100.0);
-  reg.histogram("runtime.task_seconds", 1e-6, 100.0);
-  reg.histogram("runtime.level_width_nets", 1.0, 1048576.0);
   reg.histogram("runtime.level_batch_nets", 1.0, 1048576.0);
 }
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
 #include <exception>
 #include <memory>
@@ -13,6 +12,7 @@
 #include <string>
 
 #include "runtime/runtime.hpp"
+#include "runtime/telemetry.hpp"
 
 namespace tka::runtime {
 namespace {
@@ -201,13 +201,6 @@ void steal_loop(const std::shared_ptr<RunState>& stp, std::size_t lane_id,
   }
 }
 
-std::size_t grain_env_override() {
-  const char* env = std::getenv("TKA_TASK_GRAIN");
-  if (env == nullptr || *env == '\0') return 0;
-  const long v = std::strtol(env, nullptr, 10);
-  return v > 0 ? static_cast<std::size_t>(v) : 0;
-}
-
 }  // namespace
 
 void TaskGraph::seal() {
@@ -356,57 +349,5 @@ void TaskGraph::run(int threads, std::function<void(std::size_t)> body) {
     }
   }
 }
-
-namespace detail {
-
-int dynamic_threads(int requested) {
-  if (on_pool_thread()) return 1;
-  return resolve_threads(requested);
-}
-
-std::size_t dynamic_grain(std::size_t n, int threads, std::size_t grain) {
-  const std::size_t forced = grain_env_override();
-  if (forced > 0) return forced;
-  if (grain > 0) return grain;
-  // ~8 chunks per lane: enough slack for stealing to level uneven task
-  // costs without drowning tiny bodies in scheduling overhead.
-  const std::size_t target = static_cast<std::size_t>(threads) * 8;
-  std::size_t g = (n + target - 1) / target;
-  return g > 0 ? g : 1;
-}
-
-void run_inline_accounted(std::size_t begin, std::size_t end,
-                          const std::function<void(std::size_t)>& fn) {
-#if TKA_OBS_ENABLED
-  telemetry::LaneSlot& lane = telemetry::this_lane(/*worker=*/false);
-  if (lane.depth == 0) {
-    telemetry::PhaseScope exec(lane, telemetry::Phase::kExec);
-    lane.tasks.fetch_add(1, std::memory_order_relaxed);
-    telemetry::note_inline_for();
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
-#endif
-  for (std::size_t i = begin; i < end; ++i) fn(i);
-}
-
-void run_dynamic(int threads, std::size_t begin, std::size_t end,
-                 std::size_t grain,
-                 const std::function<void(std::size_t)>& fn) {
-  const std::size_t n = end - begin;
-  const std::size_t chunks = (n + grain - 1) / grain;
-  TaskGraph graph(chunks);
-#if TKA_OBS_ENABLED
-  telemetry::note_dynamic_for();
-#endif
-  graph.run(threads, [&](std::size_t c) {
-    const std::size_t lo = begin + c * grain;
-    std::size_t hi = lo + grain;
-    if (hi > end) hi = end;
-    for (std::size_t i = lo; i < hi; ++i) fn(i);
-  });
-}
-
-}  // namespace detail
 
 }  // namespace tka::runtime

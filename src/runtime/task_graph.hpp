@@ -1,14 +1,10 @@
-// Dependency-counted task graph with work-stealing execution.
-//
-// The level-wavefront scheduler (wavefront.hpp) barrier-syncs every level:
-// all victims of level L must finish before any victim of level L+1 starts,
-// even though a level-L+1 victim only reads its own fanin cone. This module
-// replaces the barrier with per-task dependency counters over the same DAG:
-// a task becomes ready the moment its last predecessor finishes, so
-// independent subtrees overlap across levels instead of idling at the
-// barrier (ROADMAP: "Fix parallel scaling with a task-graph / work-stealing
-// runtime"; see docs/SCHEDULER.md for the model and the determinism
-// contract).
+// Dependency-counted task graph with work-stealing execution: the one
+// scheduler behind every parallel loop in the library. A task becomes
+// ready the moment its last predecessor finishes, so independent subtrees
+// of a victim sweep overlap across topological levels instead of idling
+// at a level barrier (see docs/SCHEDULER.md for the model and the
+// determinism contract). runtime::parallel_for (runtime/runtime.hpp) runs
+// its chunks as an edge-free graph.
 //
 // Execution model:
 //  * Each lane (the calling thread plus `threads - 1` shared-pool workers)
@@ -23,16 +19,14 @@
 //    the calling thread after run() returns, in task-index order. Under
 //    that discipline any topological execution order yields bit-identical
 //    output, so serial (threads = 1) and stolen (threads = N) runs agree
-//    exactly — the same contract parallel_for's static chunks enforce,
-//    minus the static schedule.
+//    exactly.
 //  * Exceptions: a throwing task marks its transitive dependents cancelled
 //    (they never execute); independent tasks still run. After the drain the
 //    lowest-index failure is rethrown on the calling thread. The failed set
 //    is execution-order independent, so this too is deterministic.
 //  * Serial fallback: threads <= 1, a single task, or a call from inside a
 //    pool worker runs every task inline on the calling thread in
-//    deterministic Kahn order (ready set drained as an index-seeded FIFO) —
-//    the same code path discipline as ThreadPool::parallel_for, and
+//    deterministic Kahn order (ready set drained as an index-seeded FIFO),
 //    deadlock-free under nesting by construction.
 //
 // Telemetry: task bodies book Phase::kExec on the executing lane; the
@@ -94,45 +88,5 @@ class TaskGraph {
   bool sealed_ = false;
   bool cyclic_ = false;
 };
-
-/// Work-stealing counterpart of runtime::parallel_for: runs fn(i) over
-/// [begin, end) as an edge-free task graph of contiguous chunks of `grain`
-/// indices (0 picks a grain targeting ~8 chunks per lane; the TKA_TASK_GRAIN
-/// environment variable overrides either choice, which is how the stress
-/// tests force steals on tiny ranges). Same determinism contract as
-/// parallel_for — per-index slots plus calling-thread index-order reduction
-/// — and the same inline serial fallback; chunk-to-lane assignment is the
-/// only thing stealing changes. Rethrows the lowest failing chunk.
-template <typename Fn>
-void parallel_for_dynamic(int requested, std::size_t begin, std::size_t end,
-                          Fn&& fn, std::size_t grain = 0);
-
-namespace detail {
-
-int dynamic_threads(int requested);  // resolved count, 1 when must run inline
-std::size_t dynamic_grain(std::size_t n, int threads, std::size_t grain);
-void run_dynamic(int threads, std::size_t begin, std::size_t end,
-                 std::size_t grain,
-                 const std::function<void(std::size_t)>& fn);
-void run_inline_accounted(std::size_t begin, std::size_t end,
-                          const std::function<void(std::size_t)>& fn);
-
-}  // namespace detail
-
-template <typename Fn>
-void parallel_for_dynamic(int requested, std::size_t begin, std::size_t end,
-                          Fn&& fn, std::size_t grain) {
-  if (begin >= end) return;
-  const int threads = detail::dynamic_threads(requested);
-  const std::size_t n = end - begin;
-  const std::size_t g = detail::dynamic_grain(n, threads, grain);
-  if (threads <= 1 || n <= g) {
-    detail::run_inline_accounted(begin, end,
-                                 std::function<void(std::size_t)>(fn));
-    return;
-  }
-  detail::run_dynamic(threads, begin, end, g,
-                      std::function<void(std::size_t)>(std::forward<Fn>(fn)));
-}
 
 }  // namespace tka::runtime

@@ -47,7 +47,6 @@ std::vector<std::unique_ptr<telemetry::LaneSlot>>& lanes() {
   return *list;
 }
 
-std::atomic<std::uint64_t> g_parallel_fors{0};
 std::atomic<std::uint64_t> g_inline_fors{0};
 std::atomic<std::uint64_t> g_task_graphs{0};
 std::atomic<std::uint64_t> g_task_graph_tasks{0};
@@ -73,10 +72,6 @@ LaneSlot& this_lane(bool worker) {
     obs::add_collector(&publish_runtime_metrics);
   }
   return *slot;
-}
-
-void note_parallel_for() {
-  g_parallel_fors.fetch_add(1, std::memory_order_relaxed);
 }
 
 void note_inline_for() {
@@ -194,8 +189,6 @@ void publish_runtime_metrics() {
           g_task_graph_edges.load(std::memory_order_relaxed)));
   reg.gauge("runtime.task_graph.dynamic_fors")
       .set(static_cast<double>(g_dynamic_fors.load(std::memory_order_relaxed)));
-  reg.gauge("runtime.parallel_fors")
-      .set(static_cast<double>(g_parallel_fors.load(std::memory_order_relaxed)));
   reg.gauge("runtime.inline_fors")
       .set(static_cast<double>(g_inline_fors.load(std::memory_order_relaxed)));
 }

@@ -1,8 +1,9 @@
 // Thread-pool attribution: every execution lane (pool worker or a caller
 // thread driving parallel_for) accounts its wall time into three buckets —
 // executing, queue-idle (worker waiting for work) and barrier-wait (caller
-// waiting for chunks to finish) — via nanosecond phase scopes maintained by
-// the instrumentation in thread_pool.{hpp,cpp}.
+// waiting for its graph to drain) — via nanosecond phase scopes maintained
+// by the instrumentation in thread_pool.cpp, task_graph.cpp and
+// runtime.cpp.
 //
 // Nested phases attribute exactly: entering a new phase closes the current
 // segment and credits it to the enclosing phase, so a caller that blocks on
@@ -44,9 +45,9 @@ struct LaneCounters {
   std::uint64_t barrier_wait_ns = 0;
   std::uint64_t tasks = 0;
   /// Task-graph tasks this lane executed that another lane made ready
-  /// (popped from a victim's deque, not the lane's own). Zero for static
-  /// parallel_for work. Thread-count and timing dependent by nature, so it
-  /// surfaces only as gauges/lane fields, never BENCH counters.
+  /// (popped from a victim's deque, not the lane's own). Zero for inline
+  /// work. Thread-count and timing dependent by nature, so it surfaces
+  /// only as gauges/lane fields, never BENCH counters.
   std::uint64_t steals = 0;
   std::uint64_t wall_ns = 0;
   bool worker = false;
@@ -172,15 +173,14 @@ class PhaseScope {
   LaneSlot& lane_;
 };
 
-/// Tally one fanned-out / one top-level-inline parallel_for (published as
-/// the runtime.parallel_fors / runtime.inline_fors gauges).
-void note_parallel_for();
+/// Tally one top-level parallel_for that ran inline (published as the
+/// runtime.inline_fors gauge).
 void note_inline_for();
 
 /// Tally one task-graph run (fanned out or inline) with its task and
 /// deduplicated edge counts; published as runtime.task_graph.{graphs,
-/// tasks, edges} gauges. parallel_for_dynamic fan-outs additionally count
-/// into runtime.task_graph.dynamic_fors.
+/// tasks, edges} gauges. parallel_for loops that fan out over a graph
+/// additionally count into runtime.task_graph.dynamic_fors.
 void note_task_graph(std::uint64_t tasks, std::uint64_t edges);
 void note_dynamic_for();
 

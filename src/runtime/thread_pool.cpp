@@ -1,5 +1,6 @@
 #include "runtime/thread_pool.hpp"
 
+#include "runtime/telemetry.hpp"
 #include "wave/point_store.hpp"
 
 namespace tka::runtime {

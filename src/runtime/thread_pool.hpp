@@ -1,30 +1,16 @@
-// Fixed-size worker pool with task futures and a deterministic parallel_for.
+// Fixed-size worker pool: the threads the task-graph scheduler's lanes run
+// on (runtime/task_graph.hpp). TaskGraph::run submits one steal loop per
+// extra lane; everything else about scheduling lives there.
 //
-// Design constraints (docs/PARALLELISM.md):
-//  * Determinism: parallel_for partitions [begin, end) into contiguous
-//    chunks by a static rule that depends only on the range and worker
-//    count; callers that write per-index slots and reduce on the calling
-//    thread in index order get bit-identical results for every thread
-//    count, including 1.
-//  * Exact serial fallback: a pool of size <= 1 (or a parallel_for issued
-//    from inside a worker, see below) runs every index inline on the
-//    calling thread, in order, through the same code path — no special
-//    "serial mode" branches in client code.
-//  * No nested fan-out: a parallel_for issued from a pool worker runs
-//    inline. This makes nested parallelism (e.g. the top-k engine
-//    re-evaluating finalists, each of which runs the noise fixpoint whose
-//    relaxation sweep is itself a parallel_for) deadlock-free by
-//    construction and keeps the outermost loop as the unit of parallelism.
-//  * Exceptions: the first exception (lowest chunk index) thrown by a task
-//    of a parallel_for is rethrown on the calling thread after all chunks
-//    finish; submit() propagates through the returned future.
+// A task submitted from a pool worker that waits on the same pool could
+// deadlock, so on_pool_thread() lets the scheduler run nested graphs and
+// loops inline instead.
 #pragma once
 
 #include <cstddef>
 
 #include <condition_variable>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -34,21 +20,19 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/telemetry.hpp"
-
 namespace tka::runtime {
 
-/// True on a thread currently executing a ThreadPool task. parallel_for
+/// True on a thread currently executing a ThreadPool task. The scheduler
 /// uses this to degrade to inline execution instead of deadlocking on
 /// nested waits.
 bool on_pool_thread();
 
 class ThreadPool {
  public:
-  /// Spawns `workers` worker threads; 0 means "no workers" (every
-  /// parallel_for and submit runs inline on the calling thread). The
-  /// calling thread is always an execution lane of its own, so a pool
-  /// serving an N-thread request needs only N - 1 workers.
+  /// Spawns `workers` worker threads; 0 means "no workers" (every submit
+  /// runs inline on the calling thread). The calling thread is always an
+  /// execution lane of its own, so a pool serving an N-thread request
+  /// needs only N - 1 workers.
   explicit ThreadPool(std::size_t workers);
 
   /// Drains nothing: pending tasks are completed before the workers join.
@@ -70,105 +54,6 @@ class ThreadPool {
     std::future<R> future = task->get_future();
     enqueue([task]() { (*task)(); });
     return future;
-  }
-
-  /// Calls fn(i) for every i in [begin, end), partitioned into at most
-  /// `size() + 1` contiguous chunks (workers + the calling thread, which
-  /// always executes the first chunk itself); `max_lanes` > 0 lowers that
-  /// cap (the shared pool never shrinks, so a smaller --threads request
-  /// caps its fan-out here instead). Blocks until every index is done;
-  /// rethrows the first failing chunk's exception. Runs inline, in index
-  /// order, when the pool has no workers, the range is a single index, or
-  /// the caller is itself a pool worker.
-  template <typename Fn>
-  void parallel_for(std::size_t begin, std::size_t end, Fn&& fn,
-                    std::size_t max_lanes = 0) {
-    if (begin >= end) return;
-    const std::size_t n = end - begin;
-    std::size_t lanes = size() + 1;
-    if (max_lanes > 0 && max_lanes < lanes) lanes = max_lanes;
-    if (lanes <= 1 || n == 1 || on_pool_thread()) {
-#if TKA_OBS_ENABLED
-      // Account top-level inline runs as exec on the calling lane (so a
-      // 1-thread run still reports utilization). Nested calls — already
-      // inside an accounted phase — skip the clock reads entirely; their
-      // time is attributed to the enclosing scope.
-      telemetry::LaneSlot& lane = telemetry::this_lane(/*worker=*/false);
-      if (lane.depth == 0) {
-        telemetry::PhaseScope exec(lane, telemetry::Phase::kExec);
-        lane.tasks.fetch_add(1, std::memory_order_relaxed);
-        telemetry::note_inline_for();
-        for (std::size_t i = begin; i < end; ++i) fn(i);
-        return;
-      }
-#endif
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-      return;
-    }
-#if TKA_OBS_ENABLED
-    telemetry::LaneSlot& lane = telemetry::this_lane(/*worker=*/false);
-    telemetry::note_parallel_for();
-    // Per-chunk duration histogram (task grain). The reference stays valid
-    // forever (registry never destroys metric objects).
-    static obs::Histogram& task_hist =
-        obs::registry().histogram("runtime.task_seconds", 1e-6, 100.0);
-#endif
-    const std::size_t chunks = n < lanes ? n : lanes;
-    // Static partition: chunk c covers [begin + c*q + min(c, r), ...) where
-    // q = n / chunks, r = n % chunks — the first r chunks get one extra.
-    const std::size_t q = n / chunks;
-    const std::size_t r = n % chunks;
-    auto chunk_begin = [&](std::size_t c) {
-      return begin + c * q + (c < r ? c : r);
-    };
-    std::vector<std::exception_ptr> errors(chunks);
-    // `remaining` is guarded by done_mu rather than being atomic: the
-    // decrement-and-check and the caller's wait predicate must exclude
-    // each other, otherwise the caller could observe zero and return —
-    // destroying these stack locals — while the finishing worker is
-    // still about to lock done_mu and notify.
-    std::size_t remaining = chunks - 1;
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    auto run_chunk = [&](std::size_t c) {
-      const std::size_t lo = chunk_begin(c);
-      const std::size_t hi = chunk_begin(c + 1);
-#if TKA_OBS_ENABLED
-      const std::int64_t chunk_start_ns = obs::now_ns();
-#endif
-      try {
-        for (std::size_t i = lo; i < hi; ++i) fn(i);
-      } catch (...) {
-        errors[c] = std::current_exception();
-      }
-#if TKA_OBS_ENABLED
-      task_hist.observe(obs::ns_to_seconds(obs::now_ns() - chunk_start_ns));
-#endif
-    };
-    for (std::size_t c = 1; c < chunks; ++c) {
-      enqueue([&, c]() {
-        run_chunk(c);
-        std::lock_guard<std::mutex> lock(done_mu);
-        if (--remaining == 0) done_cv.notify_one();
-      });
-    }
-    {
-#if TKA_OBS_ENABLED
-      telemetry::PhaseScope exec(lane, telemetry::Phase::kExec);
-      lane.tasks.fetch_add(1, std::memory_order_relaxed);
-#endif
-      run_chunk(0);
-    }
-    {
-#if TKA_OBS_ENABLED
-      telemetry::PhaseScope wait(lane, telemetry::Phase::kBarrierWait);
-#endif
-      std::unique_lock<std::mutex> lock(done_mu);
-      done_cv.wait(lock, [&]() { return remaining == 0; });
-    }
-    for (std::exception_ptr& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
   }
 
  private:

@@ -5,8 +5,10 @@
 
 #include "session/design_snapshot.hpp"
 
+#include "net/topo.hpp"
 #include "obs/obs.hpp"
 #include "runtime/runtime.hpp"
+#include "runtime/telemetry.hpp"
 #include "wave/point_store.hpp"
 #include "topk/stages/baseline_stage.hpp"
 #include "topk/stages/candidate_stage.hpp"
@@ -44,7 +46,7 @@ constexpr std::size_t kPoolKeepBytesPerThread = 256u << 10;
 std::unique_ptr<runtime::TaskGraph> build_sweep_graph(
     const net::Netlist& nl, const layout::Parasitics& par,
     const topk::stages::BaselineState& base, bool addition,
-    const runtime::Wavefront& wf) {
+    const std::vector<int>& level_of) {
   auto graph = std::make_unique<runtime::TaskGraph>(nl.num_nets());
   for (net::NetId v = 0; v < nl.num_nets(); ++v) {
     const net::Net& n = nl.net(v);
@@ -54,7 +56,7 @@ std::unique_ptr<runtime::TaskGraph> build_sweep_graph(
     if (!addition) {
       for (layout::CapId cap : base.active_caps[v]) {
         const net::NetId a = par.coupling(cap).other(v);
-        if (wf.level_of(a) < wf.level_of(v)) graph->add_edge(a, v);
+        if (level_of[a] < level_of[v]) graph->add_edge(a, v);
       }
     }
   }
@@ -294,9 +296,15 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
     memo_.winner_score.assign(num_nets, std::vector<double>(k + 1, -1.0));
     memo_.winner_members.assign(
         num_nets, std::vector<std::vector<layout::CapId>>(k + 1));
-    wavefront_ = std::make_unique<runtime::Wavefront>(nl);
+    level_of_ = net::net_levels(nl);
+    levels_.clear();
+    for (net::NetId n = 0; n < num_nets; ++n) {
+      const std::size_t lv = static_cast<std::size_t>(level_of_[n]);
+      if (lv >= levels_.size()) levels_.resize(lv + 1);
+      levels_[lv].push_back(n);
+    }
     sweep_graph_ =
-        build_sweep_graph(nl, *design_.par, base_, addition, *wavefront_);
+        build_sweep_graph(nl, *design_.par, base_, addition, level_of_);
     fp_none_.reset();
   } else {
     TKA_CHECK(memo_.k == k, "what_if must reuse the priming run's k");
@@ -371,7 +379,7 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
   ctx.ho_snap = &ho_snap;
   if (cold && !addition) {
     ctx.ho_prev = &ho_prev;
-    ctx.levels = wavefront_->level_map();
+    ctx.levels = level_of_;
   }
   ctx.result = &result;
   const bool warm_eval = !cold && sopt_.retain_candidates;
@@ -386,8 +394,8 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
 
   EvaluateStage evaluate(&ctx);
 
-  std::vector<net::NetId> batch_store;  // warm: the level's needy victims
-  std::size_t work_victims = 0;         // warm: total re-enumerations
+  std::vector<net::NetId> batch;  // warm: the level's needy victims
+  std::size_t work_victims = 0;   // warm: total re-enumerations
 
   // Elimination needs a second sweep per cardinality: its indirect
   // (window-narrowing) atoms reference the aggressor net's *current*-
@@ -446,31 +454,29 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
         if (!addition) ho_snap.swap(ho_prev);
         continue;
       }
-      for (std::size_t lvl = 0; lvl < wavefront_->num_levels(); ++lvl) {
-        const std::span<const net::NetId> full = wavefront_->level(lvl);
-        std::span<const net::NetId> batch = full;
-        if (!cold) {
-          // The batch is filtered at level time: need flags set by earlier
-          // levels of this very sweep are already visible here.
-          runtime::filter_level(*wavefront_, lvl, need, &batch_store);
-          batch = batch_store;
-          work_victims += batch.size();
-          for (net::NetId v : batch) {
-            topk::IList& live = memo_.lists[i - 1][v];
-            if (sweep == 0) {
-              // Keep the memoized final list for the post-sweep compare;
-              // generate is about to clear and rebuild it.
-              prev_final[v].assign(live.sets().begin(), live.sets().end());
-              rebuilt[v] = 1;
-            } else if (!rebuilt[v]) {
-              // Dirtied mid-cardinality by a later-level change: its own
-              // sweep-0 inputs were clean, so the memoized sweep-0 snapshot
-              // is exactly the list a cold run would enter sweep 1 with.
-              prev_final[v].assign(live.sets().begin(), live.sets().end());
-              live.clear();
-              for (const topk::CandidateSet& s : memo_.sweep0[i - 1][v]) {
-                live.try_add(s);
-              }
+      for (const std::vector<net::NetId>& level : levels_) {
+        // The batch is filtered at level time: need flags set by earlier
+        // levels of this very sweep are already visible here.
+        batch.clear();
+        for (net::NetId v : level) {
+          if (need[v]) batch.push_back(v);
+        }
+        work_victims += batch.size();
+        for (net::NetId v : batch) {
+          topk::IList& live = memo_.lists[i - 1][v];
+          if (sweep == 0) {
+            // Keep the memoized final list for the post-sweep compare;
+            // generate is about to clear and rebuild it.
+            prev_final[v].assign(live.sets().begin(), live.sets().end());
+            rebuilt[v] = 1;
+          } else if (!rebuilt[v]) {
+            // Dirtied mid-cardinality by a later-level change: its own
+            // sweep-0 inputs were clean, so the memoized sweep-0 snapshot
+            // is exactly the list a cold run would enter sweep 1 with.
+            prev_final[v].assign(live.sets().begin(), live.sets().end());
+            live.clear();
+            for (const topk::CandidateSet& s : memo_.sweep0[i - 1][v]) {
+              live.try_add(s);
             }
           }
         }
@@ -502,22 +508,20 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
             result.stats.max_list_size =
                 std::max(result.stats.max_list_size, batch_max[bi]);
           }
-          if (!cold) {
-            // Compare each rebuilt list against what this query would have
-            // read had the victim stayed clean — the final sweep against
-            // the memoized final list, elimination sweep 0 against the old
-            // sweep-0 snapshot (publish overwrites it right below).
-            const bool final_sweep = (sweep == sweeps - 1);
-            for (net::NetId v : batch) {
-              const std::span<const topk::CandidateSet> live =
-                  memo_.lists[i - 1][v].sets();
-              const std::vector<topk::CandidateSet>& prev =
-                  final_sweep ? prev_final[v] : memo_.sweep0[i - 1][v];
-              if (!lists_equal(live, prev)) mark_changed(v);
-            }
+          // Compare each rebuilt list against what this query would have
+          // read had the victim stayed clean — the final sweep against the
+          // memoized final list, elimination sweep 0 against the old
+          // sweep-0 snapshot (publish overwrites it right below).
+          const bool final_sweep = (sweep == sweeps - 1);
+          for (net::NetId v : batch) {
+            const std::span<const topk::CandidateSet> live =
+                memo_.lists[i - 1][v].sets();
+            const std::vector<topk::CandidateSet>& prev =
+                final_sweep ? prev_final[v] : memo_.sweep0[i - 1][v];
+            if (!lists_equal(live, prev)) mark_changed(v);
           }
         }
-        if (!addition) PruneStage::publish(ctx, full, i, sweep);
+        if (!addition) PruneStage::publish(ctx, level, i, sweep);
       }
     }
 

@@ -26,7 +26,6 @@
 #include "noise/coupling_calc.hpp"
 #include "obs/memory.hpp"
 #include "runtime/task_graph.hpp"
-#include "runtime/wavefront.hpp"
 #include "session/what_if.hpp"
 #include "topk/stages/stage_context.hpp"
 
@@ -116,13 +115,18 @@ class AnalysisSession {
 
   topk::stages::BaselineState base_;
   topk::stages::SweepMemo memo_;
-  std::unique_ptr<runtime::Wavefront> wavefront_;
+  /// Logic level per net (net::net_levels) and the nets of each level in
+  /// ascending id order, rebuilt on every cold prime. Cold sweeps read the
+  /// map (sweep-graph edges, QueryContext::levels); warm what_if sweeps
+  /// walk the levels in order.
+  std::vector<int> level_of_;
+  std::vector<std::vector<net::NetId>> levels_;
   /// Dependency graph over nets for cold sweeps: fanin edges (pseudo
   /// propagation) plus, in elimination mode, lower-level coupled partners
-  /// (current-sweep higher-order reads). Rebuilt with the wavefront on
+  /// (current-sweep higher-order reads). Rebuilt with the level map on
   /// every cold prime — it depends on the query mode and the baseline's
-  /// active caps. Warm what_if queries keep the level-loop scheduler
-  /// (docs/SCHEDULER.md, migration note).
+  /// active caps. Warm what_if queries walk the levels instead: their
+  /// need-flag growth depends on level order (docs/ARCHITECTURE.md).
   std::unique_ptr<runtime::TaskGraph> sweep_graph_;
   /// Approximate footprint of the memoized enumeration state, refreshed at
   /// the end of every query and published as mem.* gauges. Contributions

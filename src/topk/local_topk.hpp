@@ -23,7 +23,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "runtime/task_graph.hpp"
+#include "runtime/runtime.hpp"
 
 namespace tka::topk {
 
@@ -54,7 +54,7 @@ std::vector<std::size_t> select_top_n(int threads, std::size_t count,
   const std::size_t grain = std::max<std::size_t>(1, count / resolved / 4);
   const std::size_t chunks = (count + grain - 1) / grain;
   std::vector<std::vector<Entry>> local(chunks);
-  runtime::parallel_for_dynamic(
+  runtime::parallel_for(
       threads, 0, chunks,
       [&](std::size_t c) {
         const std::size_t lo = c * grain;

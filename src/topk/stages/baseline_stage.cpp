@@ -5,7 +5,7 @@
 
 #include "net/topo.hpp"
 #include "obs/obs.hpp"
-#include "runtime/task_graph.hpp"
+#include "runtime/runtime.hpp"
 #include "sta/critical_path.hpp"
 #include "util/assert.hpp"
 
@@ -169,7 +169,7 @@ void BaselineStage::prime(const DesignRef& design, const TopkOptions& opt,
   state->vic_wave.assign(num_nets, {});
   state->total_env.assign(num_nets, {});
   state->dn_total.assign(num_nets, 0.0);
-  runtime::parallel_for_dynamic(opt.threads, 0, num_nets, [&](std::size_t v) {
+  runtime::parallel_for(opt.threads, 0, num_nets, [&](std::size_t v) {
     derive_victim(design, opt, state, v);
   });
 
@@ -177,7 +177,7 @@ void BaselineStage::prime(const DesignRef& design, const TopkOptions& opt,
   state->topo = net::topological_nets(nl);
   state->local_ub.assign(num_nets, 0.0);
   state->cum_ub.assign(num_nets, 0.0);
-  runtime::parallel_for_dynamic(opt.threads, 0, num_nets, [&](std::size_t v) {
+  runtime::parallel_for(opt.threads, 0, num_nets, [&](std::size_t v) {
     state->local_ub[v] =
         state->analyzer->delay_noise_upper_bound(v, *state->builder, mask_all);
   });

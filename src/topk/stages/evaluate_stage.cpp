@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "obs/obs.hpp"
-#include "runtime/task_graph.hpp"
+#include "runtime/runtime.hpp"
 #include "topk/local_topk.hpp"
 
 namespace tka::topk::stages {
@@ -260,7 +260,7 @@ void EvaluateStage::finalize() {
   noise::IterativeOptions finalist_opt = ctx_->iter_opt;
   finalist_opt.threads = 1;
   std::vector<double> finalist_delay(finalists.size(), 0.0);
-  runtime::parallel_for_dynamic(
+  runtime::parallel_for(
       ctx_->threads, 0, finalists.size(),
       [&](std::size_t fi) {
         finalist_delay[fi] = ctx_->evaluate(*finalists[fi], finalist_opt);

@@ -26,7 +26,7 @@ class PruneStage {
   static void publish_one(const QueryContext& ctx, net::NetId v,
                           std::size_t i, int sweep);
 
-  /// Elimination only, called at each level barrier of the level-loop path
+  /// Elimination only, called at the end of each level of a warm sweep
   /// with the FULL level (clean victims included): publish_one over the
   /// level. Serial, on the orchestrating thread.
   static void publish(const QueryContext& ctx,

@@ -134,7 +134,8 @@ struct QueryContext {
   /// (immutable during the sweep, all-invalid at sweep 0). nullptr on the
   /// level-loop path, where the single ho_snap array carries both roles
   /// positionally (a same-or-higher-level entry simply hasn't been
-  /// overwritten yet). `levels` is the wavefront's net -> level map.
+  /// overwritten yet). `levels` is the session's net -> level map
+  /// (net::net_levels).
   const std::vector<BestSnap>* ho_prev = nullptr;
   std::span<const int> levels;
   TopkResult* result = nullptr;

@@ -33,7 +33,7 @@ struct TopkOptions {
   int k = 10;
   Mode mode = Mode::kAddition;
 
-  /// Worker threads for the level-wavefront victim sweep, the baseline /
+  /// Worker threads for the task-graph victim sweep, the baseline /
   /// re-evaluation fixpoints and the finalist re-ranking. 0 = resolve from
   /// TKA_THREADS, then hardware concurrency (see runtime/runtime.hpp);
   /// 1 = exact serial execution through the same code path. Results are

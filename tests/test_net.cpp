@@ -123,27 +123,6 @@ TEST(Topo, LevelsMonotone) {
   }
 }
 
-TEST(Topo, FaninConeOfC17Output) {
-  auto nl = make_c17();
-  const NetId n22 = nl->net_by_name("N22");
-  const std::vector<NetId> cone = fanin_cone(*nl, n22);
-  // N22 = NAND(N10, N16); N10 = NAND(N1,N3); N16 = NAND(N2,N11); N11 =
-  // NAND(N3,N6). Cone: N1,N2,N3,N6,N10,N11,N16 = 7 nets.
-  EXPECT_EQ(cone.size(), 7u);
-  EXPECT_TRUE(std::binary_search(cone.begin(), cone.end(), nl->net_by_name("N1")));
-  EXPECT_FALSE(std::binary_search(cone.begin(), cone.end(), nl->net_by_name("N7")));
-}
-
-TEST(Topo, FanoutConeAndMembership) {
-  auto nl = make_c17();
-  const NetId n11 = nl->net_by_name("N11");
-  const std::vector<NetId> cone = fanout_cone(*nl, n11);
-  // N11 feeds N16 and N19; N16 feeds N22 and N23; N19 feeds N23.
-  EXPECT_EQ(cone.size(), 4u);
-  EXPECT_TRUE(in_fanin_cone(*nl, n11, nl->net_by_name("N23")));
-  EXPECT_FALSE(in_fanin_cone(*nl, nl->net_by_name("N23"), n11));
-}
-
 TEST(Builder, ChainStructure) {
   auto nl = make_chain(5);
   nl->validate();

@@ -18,8 +18,8 @@
 #include "fixtures.hpp"
 #include "harness/bench_json.hpp"
 #include "obs/obs.hpp"
+#include "runtime/runtime.hpp"
 #include "runtime/telemetry.hpp"
-#include "runtime/thread_pool.hpp"
 #include "session/analysis_session.hpp"
 #include "topk/topk_engine.hpp"
 
@@ -44,20 +44,21 @@ json::Value parse_or_fail(const std::string& text) {
 // Every worker's delta over an interval must be (almost) fully attributed:
 // workers spend their lives inside instrumented phases, so the three
 // buckets sum to the lane's wall time up to scheduler/bookkeeping slop.
+// The shared pool is process-wide, so its worker lanes may predate this
+// test: every worker lane in the delta is checked, not only new ones.
 TEST(Telemetry, WorkerBucketsSumToWall) {
   const std::vector<runtime::LaneCounters> before = runtime::lane_snapshot();
-  runtime::ThreadPool pool(2);
   for (int round = 0; round < 3; ++round) {
-    pool.parallel_for(0, 6, [](std::size_t) { sleep_ms(5); });
+    runtime::parallel_for(
+        3, 0, 6, [](std::size_t) { sleep_ms(5); }, /*grain=*/1);
     sleep_ms(5);  // park the workers so queue-idle shows up too
   }
   const std::vector<runtime::LaneCounters> after = runtime::lane_snapshot();
   const std::vector<runtime::LaneCounters> delta =
       runtime::lane_delta(before, after);
-  ASSERT_GE(delta.size(), before.size() + 2);
 
   int workers_seen = 0;
-  for (std::size_t i = before.size(); i < delta.size(); ++i) {
+  for (std::size_t i = 0; i < delta.size(); ++i) {
     const runtime::LaneCounters& lane = delta[i];
     if (!lane.worker) continue;
     ++workers_seen;
@@ -77,9 +78,9 @@ TEST(Telemetry, WorkerBucketsSumToWall) {
     EXPECT_LE(lane.exec_cpu_ns, lane.exec_ns + 2u * 1000 * 1000)
         << "worker lane " << i << " exec CPU exceeds exec wall";
   }
-  EXPECT_EQ(workers_seen, 2);
+  EXPECT_GE(workers_seen, 2);  // a 3-lane loop runs on >= 2 pool workers
 
-  // The calling lane ran chunk 0 (exec) and then blocked on the barrier.
+  // The calling lane ran chunks (exec) and then waited for the drain.
   bool caller_found = false;
   for (const runtime::LaneCounters& lane : delta) {
     if (lane.worker || lane.tasks == 0) continue;
@@ -326,8 +327,8 @@ TEST(Telemetry, ConcurrentObserveAndSnapshot) {
 #else  // !TKA_OBS_ENABLED — the whole surface must be a benign no-op.
 
 TEST(TelemetryDisabled, LaneSnapshotEmpty) {
-  runtime::ThreadPool pool(2);
-  pool.parallel_for(0, 8, [](std::size_t) { sleep_ms(1); });
+  runtime::parallel_for(
+      2, 0, 8, [](std::size_t) { sleep_ms(1); }, /*grain=*/1);
   EXPECT_TRUE(runtime::lane_snapshot().empty());
   EXPECT_TRUE(runtime::lane_delta({}, {}).empty());
   runtime::publish_runtime_metrics();  // must not crash

@@ -1,4 +1,4 @@
-// Parallel-vs-serial equivalence: every parallelized stage (wavefront
+// Parallel-vs-serial equivalence: every parallelized stage (task-graph
 // victim sweep, noise fixpoint relaxation, brute-force enumeration,
 // generator arrivals, finalist re-ranking) must be bit-identical to
 // --threads 1 for any thread count — determinism is a hard contract of the

@@ -1,20 +1,21 @@
 // Tests for the parallel execution runtime: thread pool (futures, exception
-// propagation, deterministic parallel_for, nested inlining, shutdown
-// draining), the level-wavefront scheduler, and thread-count resolution.
+// propagation, the on-pool-thread flag, shutdown draining), the parallel
+// loop on the shared pool (coverage, deterministic per-index results,
+// lowest-index rethrow, nested inlining), and thread-count resolution. The
+// task graph the loop runs on is covered in test_task_graph.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
-#include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "gen/circuit_generator.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/thread_pool.hpp"
-#include "runtime/wavefront.hpp"
 
 namespace tka::runtime {
 namespace {
@@ -43,59 +44,80 @@ TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture) {
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(8);
   constexpr std::size_t kN = 1000;
-  std::vector<int> hits(kN, 0);
-  pool.parallel_for(0, kN, [&](std::size_t i) { hits[i] += 1; });
-  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i], 1) << i;
+  for (int threads : {1, 2, 8}) {
+    std::vector<int> hits(kN, 0);
+    runtime::parallel_for(threads, 0, kN, [&](std::size_t i) { hits[i] += 1; },
+                          /*grain=*/1);
+    for (std::size_t i = 0; i < kN; ++i) {
+      EXPECT_EQ(hits[i], 1) << "i=" << i << " threads=" << threads;
+    }
+  }
 }
 
 TEST(ThreadPool, ParallelForDeterministicPerIndexResults) {
   std::vector<std::uint64_t> serial(777);
   for (std::size_t i = 0; i < serial.size(); ++i) serial[i] = i * i + 17;
-  for (std::size_t threads : {2u, 5u, 8u}) {
-    ThreadPool pool(threads);
+  for (int threads : {1, 2, 8}) {
     std::vector<std::uint64_t> out(serial.size(), 0);
-    pool.parallel_for(0, out.size(), [&](std::size_t i) { out[i] = i * i + 17; });
+    runtime::parallel_for(threads, 0, out.size(),
+                          [&](std::size_t i) { out[i] = i * i + 17; });
     EXPECT_EQ(out, serial) << threads << " threads";
   }
 }
 
 TEST(ThreadPool, ParallelForRethrowsTaskException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(0, 100,
-                                 [&](std::size_t i) {
-                                   if (i == 99) throw std::runtime_error("x");
-                                 }),
+  EXPECT_THROW(runtime::parallel_for(4, 0, 100,
+                                     [&](std::size_t i) {
+                                       if (i == 99) throw std::runtime_error("x");
+                                     }),
                std::runtime_error);
-  // The pool is still usable after a failed loop.
+  // The shared pool is still usable after a failed loop.
   std::atomic<std::size_t> n{0};
-  pool.parallel_for(0, 10, [&](std::size_t) { n.fetch_add(1); });
+  runtime::parallel_for(4, 0, 10, [&](std::size_t) { n.fetch_add(1); },
+                        /*grain=*/1);
   EXPECT_EQ(n.load(), 10u);
 }
 
 TEST(ThreadPool, ParallelForRethrowsLowestChunkException) {
-  ThreadPool pool(4);
-  // Every index throws its own value; the first (lowest-index) chunk's
-  // exception is the one that surfaces.
-  try {
-    pool.parallel_for(0, 100, [&](std::size_t i) {
-      throw std::runtime_error(std::to_string(i));
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "0");
+  // Every index throws its own value; the lowest index's exception is the
+  // one that surfaces, at every thread count.
+  for (int threads : {1, 2, 8}) {
+    try {
+      runtime::parallel_for(
+          threads, 0, 100,
+          [&](std::size_t i) { throw std::runtime_error(std::to_string(i)); },
+          /*grain=*/1);
+      FAIL() << "expected an exception (threads=" << threads << ")";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "0") << "threads=" << threads;
+    }
   }
 }
 
-TEST(ThreadPool, MaxLanesOneRunsInlineInOrder) {
-  ThreadPool pool(4);
-  std::vector<std::size_t> order;  // unsynchronized: inline means safe
-  pool.parallel_for(0, 20, [&](std::size_t i) { order.push_back(i); },
-                    /*max_lanes=*/1);
-  std::vector<std::size_t> expect(20);
-  std::iota(expect.begin(), expect.end(), 0u);
-  EXPECT_EQ(order, expect);
+TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
+  // A nested loop issued from a pool worker must not wait on the same
+  // pool (deadlock); it degrades to inline execution. The outer chunk
+  // that runs on the calling thread is allowed to fan its inner loop out,
+  // so the inner body writes per-index slots like any parallel client.
+  for (int threads : {2, 8}) {
+    std::vector<std::uint64_t> inner(8 * 100, 0);
+    std::vector<std::uint64_t> sums(8, 0);
+    runtime::parallel_for(
+        threads, 0, sums.size(),
+        [&](std::size_t outer) {
+          runtime::parallel_for(threads, 0, 100, [&](std::size_t i) {
+            inner[outer * 100 + i] = i + outer;
+          });
+          std::uint64_t local = 0;
+          for (std::size_t i = 0; i < 100; ++i) local += inner[outer * 100 + i];
+          sums[outer] = local;
+        },
+        /*grain=*/1);
+    for (std::size_t outer = 0; outer < sums.size(); ++outer) {
+      EXPECT_EQ(sums[outer], 4950u + 100u * outer) << "threads=" << threads;
+    }
+  }
 }
 
 TEST(ThreadPool, OnPoolThreadFlag) {
@@ -104,27 +126,6 @@ TEST(ThreadPool, OnPoolThreadFlag) {
   auto f = pool.submit([]() { return on_pool_thread(); });
   EXPECT_TRUE(f.get());
   EXPECT_FALSE(on_pool_thread());
-}
-
-TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
-  ThreadPool pool(4);
-  // A nested loop issued from a pool worker must not wait on the same
-  // pool (deadlock); it degrades to inline execution. The outer chunk
-  // that runs on the calling thread is allowed to fan its inner loop out,
-  // so the inner body writes per-index slots like any parallel client.
-  std::vector<std::uint64_t> inner(8 * 100, 0);
-  std::vector<std::uint64_t> sums(8, 0);
-  pool.parallel_for(0, sums.size(), [&](std::size_t outer) {
-    pool.parallel_for(0, 100, [&](std::size_t i) {
-      inner[outer * 100 + i] = i + outer;
-    });
-    std::uint64_t local = 0;
-    for (std::size_t i = 0; i < 100; ++i) local += inner[outer * 100 + i];
-    sums[outer] = local;
-  });
-  for (std::size_t outer = 0; outer < sums.size(); ++outer) {
-    EXPECT_EQ(sums[outer], 4950u + 100u * outer);
-  }
 }
 
 TEST(ThreadPool, DestructorDrainsPendingTasks) {
@@ -167,88 +168,6 @@ TEST(Runtime, SharedPoolGrowsAndCapsFanout) {
   std::vector<int> hits(64, 0);
   runtime::parallel_for(2, 0, hits.size(), [&](std::size_t i) { hits[i] = 1; });
   for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(Wavefront, PartitionsNetsByLevel) {
-  gen::GeneratorParams p;
-  p.name = "wavefront";
-  p.num_gates = 80;
-  p.target_couplings = 150;
-  p.seed = 7;
-  const gen::GeneratedCircuit ckt = gen::generate_circuit(p);
-  const net::Netlist& nl = *ckt.netlist;
-
-  const Wavefront wf(nl);
-  EXPECT_EQ(wf.num_nets(), nl.num_nets());
-  ASSERT_GE(wf.num_levels(), 1u);
-
-  // Every net appears in exactly one level, consistent with level_of().
-  std::vector<int> seen(nl.num_nets(), 0);
-  std::size_t total = 0;
-  for (std::size_t lv = 0; lv < wf.num_levels(); ++lv) {
-    net::NetId last = 0;
-    bool first = true;
-    for (net::NetId n : wf.level(lv)) {
-      EXPECT_EQ(wf.level_of(n), static_cast<int>(lv));
-      seen[n] += 1;
-      ++total;
-      if (!first) {
-        EXPECT_LT(last, n) << "levels must ascend by net id";
-      }
-      last = n;
-      first = false;
-    }
-  }
-  EXPECT_EQ(total, nl.num_nets());
-  for (net::NetId n = 0; n < nl.num_nets(); ++n) EXPECT_EQ(seen[n], 1) << n;
-
-  // Fanins always sit at strictly lower levels: the property every
-  // wavefront consumer relies on.
-  for (net::NetId n = 0; n < nl.num_nets(); ++n) {
-    const net::Net& nn = nl.net(n);
-    if (nn.driver == net::kInvalidGate) {
-      EXPECT_EQ(wf.level_of(n), 0);
-      continue;
-    }
-    for (net::NetId in : nl.gate(nn.driver).inputs) {
-      EXPECT_LT(wf.level_of(in), wf.level_of(n));
-    }
-  }
-}
-
-TEST(Wavefront, FilterLevelReadsFlagsAtCallTime) {
-  gen::GeneratorParams p;
-  p.name = "filter_level";
-  p.num_gates = 80;
-  p.target_couplings = 150;
-  p.seed = 7;
-  const gen::GeneratedCircuit ckt = gen::generate_circuit(p);
-  const net::Netlist& nl = *ckt.netlist;
-  const Wavefront wf(nl);
-
-  // Flag every third net; each level's batch must be exactly its flagged
-  // subset, preserving the level's ascending-id order.
-  std::vector<char> flags(nl.num_nets(), 0);
-  for (net::NetId n = 0; n < nl.num_nets(); n += 3) flags[n] = 1;
-  std::vector<net::NetId> batch;
-  for (std::size_t lv = 0; lv < wf.num_levels(); ++lv) {
-    filter_level(wf, lv, flags, &batch);
-    std::vector<net::NetId> expect;
-    for (net::NetId n : wf.level(lv)) {
-      if (flags[n]) expect.push_back(n);
-    }
-    EXPECT_EQ(batch, expect) << "level " << lv;
-  }
-
-  // Flags set while earlier levels execute are visible to later levels —
-  // the property the session's change-driven marking relies on.
-  flags.assign(nl.num_nets(), 0);
-  ASSERT_GE(wf.num_levels(), 2u);
-  filter_level(wf, wf.num_levels() - 1, flags, &batch);
-  EXPECT_TRUE(batch.empty());
-  for (net::NetId n : wf.level(wf.num_levels() - 1)) flags[n] = 1;
-  filter_level(wf, wf.num_levels() - 1, flags, &batch);
-  EXPECT_EQ(batch.size(), wf.level(wf.num_levels() - 1).size());
 }
 
 }  // namespace

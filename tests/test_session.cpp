@@ -4,6 +4,8 @@
 // — while reusing the warm envelope caches outside the edit cone.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include "fixtures.hpp"
@@ -142,20 +144,33 @@ TEST(Session, SequentialEditsStayIdentical) {
   }
 }
 
-TEST(Session, WhatIfIdenticalAcrossThreadCounts) {
-  for (topk::Mode mode : {topk::Mode::kAddition, topk::Mode::kElimination}) {
-    WhatIfEdit edit;
-    edit.zero_couplings = {0};
-    Fixture edited = repair_fixture();
-    apply_to(edited, edit);
-    const topk::TopkResult reference =
-        cold_reference(edited, options(edited, 2, mode, 1));
+// Forces one index per parallel_for chunk (TKA_TASK_GRAIN=1), so the warm
+// level batches run under maximal steal traffic, as test_task_graph's
+// GrainGuard does for cold sweeps.
+struct GrainGuard {
+  GrainGuard() { setenv("TKA_TASK_GRAIN", "1", 1); }
+  ~GrainGuard() { unsetenv("TKA_TASK_GRAIN"); }
+};
 
-    for (int threads : {1, 2, 8}) {
-      Fixture fx = repair_fixture();
-      AnalysisSession s(*fx.netlist, fx.parasitics, {});
-      s.run(options(fx, 2, mode, threads));
-      expect_identical(s.what_if(edit), reference);
+TEST(Session, WhatIfIdenticalAcrossThreadCounts) {
+  for (bool steal_stress : {false, true}) {
+    std::optional<GrainGuard> grain;
+    if (steal_stress) grain.emplace();
+    for (topk::Mode mode :
+         {topk::Mode::kAddition, topk::Mode::kElimination}) {
+      WhatIfEdit edit;
+      edit.zero_couplings = {0};
+      Fixture edited = repair_fixture();
+      apply_to(edited, edit);
+      const topk::TopkResult reference =
+          cold_reference(edited, options(edited, 2, mode, 1));
+
+      for (int threads : {1, 2, 8}) {
+        Fixture fx = repair_fixture();
+        AnalysisSession s(*fx.netlist, fx.parasitics, {});
+        s.run(options(fx, 2, mode, threads));
+        expect_identical(s.what_if(edit), reference);
+      }
     }
   }
 }

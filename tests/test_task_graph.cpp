@@ -1,7 +1,7 @@
 // Work-stealing task-graph runtime (runtime/task_graph.hpp): dependency
 // ordering on diamond/chain/fan-out shapes, exception propagation with
-// transitive cancellation, cycle detection, parallel_for_dynamic coverage,
-// and engine bit-identity across thread counts with a forced-steal grain.
+// transitive cancellation, cycle detection, parallel_for coverage, and
+// engine bit-identity across thread counts with a forced-steal grain.
 // The determinism assertions are the scheduler's hard contract
 // (docs/SCHEDULER.md), not a tolerance.
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "gen/circuit_generator.hpp"
 #include "io/report_writer.hpp"
 #include "noise/coupling_calc.hpp"
+#include "runtime/runtime.hpp"
 #include "runtime/task_graph.hpp"
 #include "sta/delay_model.hpp"
 #include "topk/topk_engine.hpp"
@@ -212,13 +213,13 @@ TEST(ParallelForDynamic, CoversRangeOnceAndRethrows) {
   for (int threads : {1, 2, 8}) {
     std::vector<std::atomic<int>> hits(kN);
     for (auto& h : hits) h.store(0, std::memory_order_relaxed);
-    runtime::parallel_for_dynamic(threads, 0, kN, [&](std::size_t i) {
+    runtime::parallel_for(threads, 0, kN, [&](std::size_t i) {
       hits[i].fetch_add(1, std::memory_order_relaxed);
     });
     for (std::size_t i = 0; i < kN; ++i) {
       ASSERT_EQ(hits[i].load(), 1) << "i=" << i << " threads=" << threads;
     }
-    EXPECT_THROW(runtime::parallel_for_dynamic(
+    EXPECT_THROW(runtime::parallel_for(
                      threads, 0, kN,
                      [&](std::size_t i) {
                        if (i == 17) throw std::runtime_error("x");
@@ -230,7 +231,7 @@ TEST(ParallelForDynamic, CoversRangeOnceAndRethrows) {
 
 TEST(ParallelForDynamic, EmptyRangeIsANoop) {
   bool called = false;
-  runtime::parallel_for_dynamic(8, 5, 5, [&](std::size_t) { called = true; });
+  runtime::parallel_for(8, 5, 5, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
