@@ -28,7 +28,7 @@ void run_circuit(bench::Harness& h, const std::string& name, int k, size_t beam,
       topk::TopkOptions opt = bench::engine_options(d, k, topk::Mode::kAddition);
       opt.use_dominance = dominance;
       opt.beam_cap = beam;
-      res = d.engine->run(opt);
+      res = bench::run_engine(d, opt);
       delay = bench::evaluate(d, res.members, topk::Mode::kAddition);
       r.value("delay", delay);
       r.value("sets_generated", static_cast<double>(res.stats.sets_generated));

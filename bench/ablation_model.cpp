@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
         topk::TopkOptions opt =
             bench::engine_options(dd, k, topk::Mode::kAddition);
         opt.use_filter = use_filter;
-        const topk::TopkResult res = dd.engine->run(opt);
+        const topk::TopkResult res = bench::run_engine(dd, opt);
         (use_filter ? est_on : est_off) = res.estimated_delay;
         r.value(use_filter ? "est_delay_filter_on" : "est_delay_filter_off",
                 res.estimated_delay);

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
             bench::engine_options(d, k, topk::Mode::kAddition);
         opt.use_pseudo = cfg.use_pseudo;
         opt.propagate_full_ilist = cfg.full_ilist;
-        const topk::TopkResult res = d.engine->run(opt);
+        const topk::TopkResult res = bench::run_engine(d, opt);
         delay = bench::evaluate(d, res.members, topk::Mode::kAddition);
         noise = delay - res.baseline_delay;
         r.value("delay", delay);

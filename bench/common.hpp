@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,8 +20,9 @@
 #include "noise/coupling_calc.hpp"
 #include "obs/obs.hpp"
 #include "runtime/runtime.hpp"
+#include "session/analysis_session.hpp"
 #include "sta/analyzer.hpp"
-#include "topk/topk_engine.hpp"
+#include "topk/stages/baseline_stage.hpp"
 #include "util/logging.hpp"
 #include "util/string_util.hpp"
 #include "util/timer.hpp"
@@ -45,12 +47,12 @@ inline std::vector<int> suite_k_columns() {
   return {5, 10, 20, 30, 40, 50};
 }
 
-/// A built design plus everything the engine needs.
+/// A built design plus the delay model and coupling calculator that
+/// evaluate() and the standalone pulse comparisons read.
 struct Design {
   gen::GeneratedCircuit circuit;
   std::unique_ptr<sta::DelayModel> model;
   std::unique_ptr<noise::AnalyticCouplingCalculator> calc;
-  std::unique_ptr<topk::TopkEngine> engine;
   double noiseless_delay = 0.0;
 };
 
@@ -60,9 +62,6 @@ inline Design build_design(const std::string& name) {
   d.model = std::make_unique<sta::DelayModel>(*d.circuit.netlist, d.circuit.parasitics);
   d.calc = std::make_unique<noise::AnalyticCouplingCalculator>(d.circuit.parasitics,
                                                                *d.model);
-  d.engine = std::make_unique<topk::TopkEngine>(*d.circuit.netlist,
-                                                d.circuit.parasitics, *d.model,
-                                                *d.calc);
   const sta::StaResult base =
       sta::run_sta(*d.circuit.netlist, *d.model, d.circuit.sta_options());
   d.noiseless_delay = base.max_lat;
@@ -92,12 +91,26 @@ inline topk::TopkOptions engine_options(const Design& d, int k, topk::Mode mode)
   return opt;
 }
 
-/// Circuit delay with exactly/all-but `members` active, via the fixpoint.
-inline double evaluate(const Design& d, const std::vector<layout::CapId>& members,
-                       topk::Mode mode) {
+/// One-shot engine run: a fresh session over copies of the design.
+inline topk::TopkResult run_engine(const Design& d,
+                                   const topk::TopkOptions& opt) {
+  session::AnalysisSession s(*d.circuit.netlist, d.circuit.parasitics,
+                             d.model->options());
+  return s.run(opt);
+}
+
+/// Circuit delay with exactly `members` active (addition) or with `members`
+/// removed from the full set (elimination), via the fixpoint on `threads`
+/// workers (0 = resolve from TKA_THREADS / hardware).
+inline double evaluate(const Design& d, std::span<const layout::CapId> members,
+                       topk::Mode mode, int threads = 0) {
   noise::IterativeOptions it;
   it.sta = d.circuit.sta_options();
-  return d.engine->evaluate_set(members, mode, it);
+  it.threads = threads;
+  return topk::stages::BaselineStage::masked_delay(
+      {d.circuit.netlist.get(), &d.circuit.parasitics, d.model.get(),
+       d.calc.get()},
+      members, mode, it);
 }
 
 /// Exact delay at cardinality k: evaluates the winner plus the stored
@@ -124,12 +137,9 @@ inline double evaluate_at_k(const Design& d, const topk::TopkResult& res, int k,
   consider(res.set_by_k[idx]);
   for (const auto& members : res.finalists_by_k[idx]) consider(members);
 
-  noise::IterativeOptions it;
-  it.sta = d.circuit.sta_options();
-  it.threads = 1;
   std::vector<double> delays(cands.size(), 0.0);
   runtime::parallel_for(0, 0, cands.size(), [&](size_t ci) {
-    delays[ci] = d.engine->evaluate_set(*cands[ci], mode, it);
+    delays[ci] = evaluate(d, *cands[ci], mode, /*threads=*/1);
   });
   double best = running;
   for (double delay : delays) {
@@ -170,7 +180,7 @@ inline int run_table2(int argc, char* const* argv, topk::Mode mode) {
     std::vector<double> delays;
     const bool ran = h.run_case(name, [&](Reporter& r) {
       topk::TopkOptions opt = engine_options(d, max_k, mode);
-      res = d.engine->run(opt);
+      res = run_engine(d, opt);
       delays.clear();
       double running = res.baseline_delay;
       for (int k : ks) {

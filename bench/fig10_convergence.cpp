@@ -33,9 +33,9 @@ int main(int argc, char** argv) {
     std::vector<Point> curve;
     double no_agg = 0.0, all_agg = 0.0;
     const bool ran = h.run_case(name, [&](bench::Reporter& r) {
-      const topk::TopkResult add = d.engine->run(
+      const topk::TopkResult add = bench::run_engine(d, 
           bench::engine_options(d, max_k, topk::Mode::kAddition));
-      const topk::TopkResult elim = d.engine->run(
+      const topk::TopkResult elim = bench::run_engine(d, 
           bench::engine_options(d, max_k, topk::Mode::kElimination));
       no_agg = add.baseline_delay;
       all_agg = elim.baseline_delay;

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
         opt.reevaluate = true;  // the final fixpoint is a parallel phase too
         const std::vector<runtime::LaneCounters> before =
             runtime::lane_snapshot();
-        const topk::TopkResult res = d.engine->run(opt);
+        const topk::TopkResult res = bench::run_engine(d, opt);
         delay = res.evaluated_delay;
         estimated = res.estimated_delay;
         r.value("evaluated_delay", delay);

@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
   gen::GeneratedCircuit ckt = gen::generate_circuit(params);
   sta::DelayModel model(*ckt.netlist, ckt.parasitics);
   noise::AnalyticCouplingCalculator calc(ckt.parasitics, model);
-  topk::TopkEngine engine(*ckt.netlist, ckt.parasitics, model, calc);
 
   std::printf("Table 1: proposed vs brute force (elimination), circuit %s\n",
               params.name.c_str());
@@ -61,7 +60,8 @@ int main(int argc, char** argv) {
       opt.rerank_top = 64; // generous exact re-ranking for the validation
       opt.iterative.sta = ckt.sta_options();
       Timer t;
-      res = engine.run(opt);
+      session::AnalysisSession s(*ckt.netlist, ckt.parasitics, model.options());
+      res = s.run(opt);
       proposed_s = t.seconds();
       r.value("proposed_delay", res.evaluated_delay);
 

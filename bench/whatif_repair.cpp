@@ -10,8 +10,8 @@
 // session's change-driven invalidation exists to exploit. Each case plays
 // the same N-step loop twice on identical designs —
 //
-//   cold:    a fresh TopkEngine::run after every edit (the pre-session
-//            workflow: everything recomputed from scratch), and
+//   cold:    a fresh one-shot session run after every edit (everything
+//            recomputed from scratch), and
 //   session: one priming AnalysisSession::run, then one what_if per edit
 //            (baseline refreshed incrementally, only the edit group's
 //            victims re-enumerated).
@@ -63,22 +63,22 @@ int main(int argc, char** argv) {
   for (const Spec& spec : specs) {
     Row row{spec.name, 0.0, 0.0, 0.0, true};
     const bool ran = h.run_case(spec.name, [&](bench::Reporter& r) {
-      // Cold path: the engine mutates nothing, so one design serves all
-      // steps — each edit lands in the parasitics, each run() recomputes
-      // the world from scratch.
+      // Cold path: one design serves all steps — each edit lands in the
+      // parasitics, and each step runs a fresh session over copies of them
+      // that recomputes the world from scratch.
       Channel cold = make_channel(spec.groups, spec.chains, spec.depth);
-      sta::DelayModel cold_model(*cold.netlist, cold.parasitics);
-      noise::AnalyticCouplingCalculator cold_calc(cold.parasitics, cold_model);
-      topk::TopkEngine engine(*cold.netlist, cold.parasitics, cold_model,
-                              cold_calc);
       const topk::TopkOptions opt = channel_options(cold, k);
+      auto cold_run = [&] {
+        session::AnalysisSession s(*cold.netlist, cold.parasitics, {});
+        return s.run(opt);
+      };
 
       Timer cold_timer;
       std::vector<topk::TopkResult> cold_res;
-      cold_res.push_back(engine.run(opt));
+      cold_res.push_back(cold_run());
       for (int s = 0; s < steps; ++s) {
         cold.parasitics.zero_coupling(cold_res.back().members.front());
-        cold_res.push_back(engine.run(opt));
+        cold_res.push_back(cold_run());
       }
       row.cold_s = cold_timer.seconds();
 
@@ -86,7 +86,9 @@ int main(int argc, char** argv) {
       // only the what_if queries are timed against the cold re-runs.
       Channel base = make_channel(spec.groups, spec.chains, spec.depth);
       const topk::TopkOptions sopt = channel_options(base, k);
-      session::AnalysisSession session(*base.netlist, base.parasitics, {});
+      session::AnalysisSession session(
+          *base.netlist, base.parasitics, {},
+          session::SessionOptions{.retain_candidates = true});
       std::vector<topk::TopkResult> warm_res;
       warm_res.push_back(session.run(sopt));
       Timer warm_timer;

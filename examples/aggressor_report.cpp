@@ -12,8 +12,8 @@
 #include "noise/coupling_calc.hpp"
 #include "noise/envelope_builder.hpp"
 #include "noise/iterative.hpp"
+#include "session/analysis_session.hpp"
 #include "sta/critical_path.hpp"
-#include "topk/topk_engine.hpp"
 
 using namespace tka;
 
@@ -69,12 +69,12 @@ int main() {
   }
 
   // Top-5 elimination set, exported to a Graphviz view.
-  topk::TopkEngine engine(nl, ckt.parasitics, model, calc);
+  session::AnalysisSession session(nl, ckt.parasitics, model.options());
   topk::TopkOptions opt;
   opt.k = 5;
   opt.mode = topk::Mode::kElimination;
   opt.iterative.sta = ckt.sta_options();
-  const topk::TopkResult res = engine.run(opt);
+  const topk::TopkResult res = session.run(opt);
   std::printf("\ntop-5 elimination set (fixing these recovers %.1f ps):\n",
               (res.baseline_delay - res.evaluated_delay) * 1e3);
   for (layout::CapId id : res.members) {

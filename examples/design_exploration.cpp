@@ -9,7 +9,8 @@
 
 #include "gen/circuit_generator.hpp"
 #include "noise/coupling_calc.hpp"
-#include "topk/topk_engine.hpp"
+#include "session/analysis_session.hpp"
+#include "topk/stages/baseline_stage.hpp"
 
 using namespace tka;
 
@@ -23,7 +24,8 @@ int main() {
 
   sta::DelayModel model(*ckt.netlist, ckt.parasitics);
   noise::AnalyticCouplingCalculator calc(ckt.parasitics, model);
-  topk::TopkEngine engine(*ckt.netlist, ckt.parasitics, model, calc);
+  session::AnalysisSession session(*ckt.netlist, ckt.parasitics,
+                                   model.options());
   noise::IterativeOptions it;
   it.sta = ckt.sta_options();
 
@@ -32,7 +34,7 @@ int main() {
   opt.k = max_k;
   opt.mode = topk::Mode::kElimination;
   opt.iterative.sta = ckt.sta_options();
-  const topk::TopkResult res = engine.run(opt);
+  const topk::TopkResult res = session.run(opt);
 
   std::printf("design %s: all-aggressor delay %.4f ns, noiseless %.4f ns\n\n",
               ckt.netlist->name().c_str(), res.baseline_delay,
@@ -46,7 +48,9 @@ int main() {
     double best = running;
     auto consider = [&](const std::vector<layout::CapId>& members) {
       if (members.empty()) return;
-      const double d = engine.evaluate_set(members, topk::Mode::kElimination, it);
+      const double d = topk::stages::BaselineStage::masked_delay(
+          {ckt.netlist.get(), &ckt.parasitics, &model, &calc}, members,
+          topk::Mode::kElimination, it);
       if (d < best) best = d;
     };
     consider(res.set_by_k[static_cast<size_t>(k) - 1]);

@@ -9,7 +9,7 @@
 #include "gen/circuit_generator.hpp"
 #include "noise/coupling_calc.hpp"
 #include "noise/iterative.hpp"
-#include "topk/topk_engine.hpp"
+#include "session/analysis_session.hpp"
 
 using namespace tka;
 
@@ -52,12 +52,13 @@ int main() {
     }
 
     // Ask for this cycle's top-k elimination set...
-    topk::TopkEngine engine(*ckt.netlist, ckt.parasitics, model, calc);
+    session::AnalysisSession session(*ckt.netlist, ckt.parasitics,
+                                     model.options());
     topk::TopkOptions opt;
     opt.k = k_per_cycle;
     opt.mode = topk::Mode::kElimination;
     opt.iterative.sta = ckt.sta_options();
-    const topk::TopkResult res = engine.run(opt);
+    const topk::TopkResult res = session.run(opt);
 
     // ... and fix those couplings in the physical database.
     std::printf("  ");

@@ -13,8 +13,8 @@
 #include "layout/router.hpp"
 #include "noise/coupling_calc.hpp"
 #include "noise/iterative.hpp"
+#include "session/analysis_session.hpp"
 #include "sta/critical_path.hpp"
-#include "topk/topk_engine.hpp"
 
 using namespace tka;
 
@@ -66,14 +66,14 @@ int main() {
   for (net::NetId n : crit.nets) std::printf(" %s", nl->net(n).name.c_str());
   std::printf("\n\n");
 
-  // 4. Top-k sets.
-  topk::TopkEngine engine(*nl, par, model, calc);
+  // 4. Top-k sets. A query runs on a session over copies of the design.
   for (const topk::Mode mode : {topk::Mode::kAddition, topk::Mode::kElimination}) {
     topk::TopkOptions opt;
     opt.k = 2;
     opt.mode = mode;
     opt.beam_cap = 0;
-    const topk::TopkResult res = engine.run(opt);
+    session::AnalysisSession session(*nl, par, model.options());
+    const topk::TopkResult res = session.run(opt);
     std::printf("top-2 %s set:", mode == topk::Mode::kAddition ? "addition"
                                                                : "elimination");
     for (layout::CapId id : res.members) {

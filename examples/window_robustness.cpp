@@ -14,7 +14,7 @@
 #include "gen/circuit_generator.hpp"
 #include "noise/coupling_calc.hpp"
 #include "noise/iterative.hpp"
-#include "topk/topk_engine.hpp"
+#include "session/analysis_session.hpp"
 #include "util/rng.hpp"
 
 using namespace tka;
@@ -49,7 +49,6 @@ int main() {
 
   sta::DelayModel model(*ckt.netlist, ckt.parasitics);
   noise::AnalyticCouplingCalculator calc(ckt.parasitics, model);
-  topk::TopkEngine engine(*ckt.netlist, ckt.parasitics, model, calc);
 
   // Choose the fix at the nominal corner.
   const int k = 8;
@@ -57,7 +56,9 @@ int main() {
   opt.k = k;
   opt.mode = topk::Mode::kElimination;
   opt.iterative.sta = ckt.sta_options();
-  const topk::TopkResult nominal = engine.run(opt);
+  session::AnalysisSession session(*ckt.netlist, ckt.parasitics,
+                                   model.options());
+  const topk::TopkResult nominal = session.run(opt);
   std::printf("nominal corner: all-aggressor %.4f ns -> fixed %.4f ns "
               "(top-%d set)\n\n",
               nominal.baseline_delay, nominal.evaluated_delay, k);

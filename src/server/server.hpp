@@ -2,7 +2,7 @@
 // (docs/SERVER.md).
 //
 // Designs load once into a registry of per-design Shards (each a worker
-// pool over private design replicas); queries from any number of
+// pool over a copy-on-write snapshot chain); queries from any number of
 // connections fan into the shards' bounded queues. The server owns only
 // transport and routing — consistency and admission live in Shard.
 //

@@ -8,12 +8,28 @@
 #include "util/string_util.hpp"
 
 namespace tka::server {
+namespace {
+
+/// Longest edit-log tail a warm worker session catches up by what_if
+/// replay; beyond it the session is rebuilt from the head.
+constexpr std::size_t kMaxReplayEdits = 16;
+/// Most queued topk reads drained into one coalesced batch.
+constexpr std::size_t kCoalesceMax = 16;
+
+/// A retaining session (what_if replay stays available) over `snap`'s design.
+std::unique_ptr<session::AnalysisSession> session_over(
+    const session::DesignSnapshot& snap) {
+  return std::make_unique<session::AnalysisSession>(
+      net::Netlist(snap.netlist()), layout::Parasitics(snap.parasitics()),
+      snap.model_options(), session::SessionOptions{.retain_candidates = true});
+}
+
+}  // namespace
 
 Shard::Shard(std::string name, std::unique_ptr<net::Netlist> nl,
              layout::Parasitics par, const sta::DelayModelOptions& model_opt,
              const topk::TopkOptions& base_opt, const ShardOptions& opt)
     : name_(std::move(name)),
-      model_opt_(model_opt),
       base_opt_(base_opt),
       opt_(opt),
       head_(session::DesignSnapshot::make_base(std::move(*nl), std::move(par),
@@ -55,8 +71,8 @@ void Shard::join() {
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
   }
-  // Workers released their sessions (and snapshot pins) on exit; drop the
-  // warm writer too so only the head snapshot stays live after drain.
+  // Workers released their sessions on exit; drop the warm writer too so a
+  // drained shard holds only its head snapshot.
   {
     std::lock_guard<std::mutex> writer_lock(writer_mu_);
     writer_.reset();
@@ -93,12 +109,13 @@ void Shard::worker_loop() {
       if (batch.front().req.op != "what_if") {
         // Coalesce the run of compatible reads queued behind this one.
         // Stop at the first what_if (or incompatible read) so committed
-        // edits keep their admission-order position.
-        const Request& first = batch.front().req;
-        while (!queue_.empty() && batch.size() < opt_.coalesce_max) {
+        // edits keep their admission-order position. k and mode are copied
+        // out: push_back may reallocate the batch under a reference.
+        const int k = batch.front().req.k;
+        const topk::Mode mode = batch.front().req.mode;
+        while (!queue_.empty() && batch.size() < kCoalesceMax) {
           const Request& next = queue_.front().req;
-          if (next.op == "what_if" || next.k != first.k ||
-              next.mode != first.mode) {
+          if (next.op == "what_if" || next.k != k || next.mode != mode) {
             break;
           }
           batch.push_back(std::move(queue_.front()));
@@ -194,7 +211,7 @@ std::string Shard::topk_result_extra(WorkerState& ws, int k, topk::Mode mode,
     // session (run() is a cold query but reuses the session's storage).
     result = ws.session->run(opt);
   } else if (warm && !pending.empty() &&
-             pending.size() <= opt_.max_replay_edits) {
+             pending.size() <= kMaxReplayEdits) {
     // Warm rebase: replay the committed tail through what_if. Each replay
     // is bit-identical to a cold run at that epoch (the session contract),
     // so the final replay's result *is* the answer at the head epoch.
@@ -206,11 +223,9 @@ std::string Shard::topk_result_extra(WorkerState& ws, int k, topk::Mode mode,
     ws.epoch = epoch;
   } else {
     // No session, k/mode change, or a tail too long to replay: rebuild
-    // from the pinned snapshot. COW copies make this O(chunk table), not
-    // O(design); retained candidates keep what_if replay available.
+    // from the pinned head.
     obs::registry().counter("server.session_rebuilds").add();
-    ws.session = std::make_unique<session::AnalysisSession>(
-        head, session::SessionOptions{.retain_candidates = true});
+    ws.session = session_over(*head);
     result = ws.session->run(opt);
     ws.epoch = epoch;
     ws.k = k;
@@ -236,8 +251,7 @@ std::string Shard::serve_what_if(const Request& req,
     // (Re)base the warm writer on the head snapshot. Only the writer
     // advances the head and only under writer_mu_, so its design equals
     // the committed state by construction.
-    writer_ = std::make_unique<session::AnalysisSession>(
-        head(), session::SessionOptions{.retain_candidates = true});
+    writer_ = session_over(*head());
     topk::TopkOptions opt = base_opt_;
     opt.k = req.k;
     opt.mode = req.mode;

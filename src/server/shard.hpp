@@ -6,18 +6,19 @@
 // chain of immutable, refcounted DesignSnapshots plus the append-only edit
 // log that produced it; epoch E means "the base with the first E edits
 // applied". The shard publishes the newest snapshot as `head_`; a worker
-// pins the head (a shared_ptr copy) for the duration of a job instead of
-// owning a private replica. A what_if commit produces the next snapshot by
-// copy-on-write — only the storage chunks the edit touches are cloned, the
-// rest is structurally shared — so the chain costs O(design + edits)
-// memory no matter how many workers serve it.
+// pins the head (a shared_ptr copy) for the duration of a job. A what_if
+// commit produces the next snapshot by copy-on-write — only the storage
+// chunks the edit touches are cloned, the rest is structurally shared —
+// so the chain costs O(design + edits) memory no matter how many workers
+// serve it.
 //
 // Worker sessions are warm: a session whose last query matched the
 // request's k/mode catches up to the head by replaying the pending edit-
 // log tail through AnalysisSession::what_if (bit-identical to a cold run
 // by the session contract), keeping every cache it built. Only a k/mode
-// change or a long tail falls back to rebuilding from the pinned snapshot
-// — which is itself cheap, because the build takes COW copies.
+// change or a long tail falls back to rebuilding from COW copies of the
+// pinned head — O(chunk table). The copies hold their chunks themselves,
+// so an idle session keeps no snapshot alive.
 //
 // Read coalescing. When a worker pops a topk job it also drains the
 // compatible run of queued topk jobs behind it (same k and mode, stopping
@@ -59,11 +60,6 @@ struct ShardOptions {
   /// TopkOptions::threads inside each served query (1 = serial query;
   /// concurrency comes from workers and shards, not intra-query threads).
   int query_threads = 1;
-  /// Longest edit-log tail a warm worker session catches up by what_if
-  /// replay; beyond it the session is rebuilt from the pinned snapshot.
-  std::size_t max_replay_edits = 16;
-  /// Most queued topk reads drained into one coalesced batch.
-  std::size_t coalesce_max = 16;
   /// Rendered results cached per shard, keyed (epoch, k, mode).
   std::size_t result_cache_cap = 8;
 };
@@ -91,7 +87,7 @@ class Shard {
   /// Stops admission. Queued queries still run to completion.
   void begin_drain();
   /// Joins the workers after the queue runs dry, then releases the warm
-  /// writer so only the head snapshot stays pinned. Implies begin_drain().
+  /// writer so only the head snapshot stays held. Implies begin_drain().
   void join();
 
   const std::string& name() const { return name_; }
@@ -108,7 +104,7 @@ class Shard {
   };
 
   /// A worker's warm session state. The session holds COW copies of the
-  /// snapshot it was built from and advances past it via what_if replay;
+  /// design it was built from and advances past it via what_if replay;
   /// `epoch`/`k`/`mode` describe the design state and options of its last
   /// completed query.
   struct WorkerState {
@@ -136,7 +132,6 @@ class Shard {
                     std::string extra);
 
   const std::string name_;
-  const sta::DelayModelOptions model_opt_;
   const topk::TopkOptions base_opt_;
   const ShardOptions opt_;
 

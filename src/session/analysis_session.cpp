@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "session/design_snapshot.hpp"
-
 #include "net/topo.hpp"
 #include "obs/obs.hpp"
 #include "runtime/runtime.hpp"
@@ -65,35 +63,15 @@ std::unique_ptr<runtime::TaskGraph> build_sweep_graph(
 
 }  // namespace
 
-AnalysisSession::AnalysisSession(const net::Netlist& nl,
-                                 const layout::Parasitics& par,
-                                 const sta::DelayModel& model,
-                                 const noise::CouplingCalculator& calc,
-                                 SessionOptions options)
-    : sopt_(options) {
-  design_ = {&nl, &par, &model, &calc};
-}
-
 AnalysisSession::AnalysisSession(net::Netlist nl, layout::Parasitics par,
                                  const sta::DelayModelOptions& model_options,
                                  SessionOptions options)
-    : nl_own_(std::make_unique<net::Netlist>(std::move(nl))),
-      par_own_(std::make_unique<layout::Parasitics>(std::move(par))),
-      model_own_(std::make_unique<sta::DelayModel>(*nl_own_, *par_own_,
-                                                   model_options)),
-      calc_own_(std::make_unique<noise::AnalyticCouplingCalculator>(
-          *par_own_, *model_own_)),
-      sopt_(options) {
-  design_ = {nl_own_.get(), par_own_.get(), model_own_.get(), calc_own_.get()};
-}
-
-AnalysisSession::AnalysisSession(
-    std::shared_ptr<const DesignSnapshot> snapshot, SessionOptions options)
-    : AnalysisSession(net::Netlist(snapshot->netlist()),
-                      layout::Parasitics(snapshot->parasitics()),
-                      snapshot->model_options(), options) {
-  snap_ = std::move(snapshot);
-}
+    : nl_(std::move(nl)),
+      par_(std::move(par)),
+      model_(nl_, par_, model_options),
+      calc_(par_, model_),
+      design_{&nl_, &par_, &model_, &calc_},
+      sopt_(options) {}
 
 AnalysisSession::~AnalysisSession() = default;
 
@@ -116,7 +94,6 @@ topk::TopkResult AnalysisSession::run(const topk::TopkOptions& options) {
 }
 
 topk::TopkResult AnalysisSession::what_if(const WhatIfEdit& edit) {
-  TKA_CHECK(nl_own_ != nullptr, "what_if requires an owning session");
   TKA_CHECK(primed_, "what_if requires a primed session (call run() first)");
   TKA_CHECK(sopt_.retain_candidates,
             "what_if requires SessionOptions::retain_candidates");
@@ -131,24 +108,24 @@ topk::TopkResult AnalysisSession::what_if(const WhatIfEdit& edit) {
   std::vector<net::NetId> edit_nets;
   std::vector<layout::CapId> edit_caps;
   auto touch_cap = [&](layout::CapId cap) {
-    TKA_CHECK(cap < par_own_->num_couplings(), "what_if: unknown coupling");
-    const layout::CouplingCap& cc = par_own_->coupling(cap);
+    TKA_CHECK(cap < par_.num_couplings(), "what_if: unknown coupling");
+    const layout::CouplingCap& cc = par_.coupling(cap);
     edit_caps.push_back(cap);
     edit_nets.push_back(cc.net_a);
     edit_nets.push_back(cc.net_b);
   };
   for (layout::CapId cap : edit.zero_couplings) {
     touch_cap(cap);
-    par_own_->zero_coupling(cap);
+    par_.zero_coupling(cap);
   }
   for (layout::CapId cap : edit.shield_couplings) {
     touch_cap(cap);
-    par_own_->shield_coupling(cap);
+    par_.shield_coupling(cap);
   }
   for (const WhatIfEdit::Resize& rz : edit.resizes) {
-    nl_own_->resize_gate(rz.gate, rz.cell_index);
+    nl_.resize_gate(rz.gate, rz.cell_index);
     // The output net's drive and every input net's pin load can change.
-    const net::Gate& g = nl_own_->gate(rz.gate);
+    const net::Gate& g = nl_.gate(rz.gate);
     edit_nets.push_back(g.output);
     for (net::NetId in : g.inputs) edit_nets.push_back(in);
   }

@@ -1,16 +1,15 @@
 // AnalysisSession: the persistent orchestrator of the staged top-k
-// pipeline (docs/ARCHITECTURE.md).
+// pipeline (docs/ARCHITECTURE.md), and the one way to run a query.
 //
-// A session owns the netlist/parasitics view, the delay model, the
-// envelope caches, the false-aggressor filter state and the recorded
-// baseline fixpoints, and keeps them warm across queries:
+// A session owns copies of the netlist and parasitics, the delay model and
+// coupling calculator over them, the envelope caches, the false-aggressor
+// filter state and the recorded baseline fixpoints, and keeps them warm
+// across queries:
 //
 //   run(options)   — cold query: primes the baseline and enumerates every
-//                    victim. Bit-identical (values and counters) to what
-//                    the old monolithic TopkEngine::run produced;
-//                    TopkEngine::run is now a thin wrapper over this.
-//   what_if(edit)  — applies a repair edit to the session's private design
-//                    copy, re-converges the baseline incrementally, and
+//                    victim. A one-shot query is a fresh session's run().
+//   what_if(edit)  — applies a repair edit to the session's design copy,
+//                    re-converges the baseline incrementally, and
 //                    re-enumerates only the victims whose inputs actually
 //                    changed. Dirtiness spreads change-driven with the
 //                    sweep: a rebuilt list is compared against its memoized
@@ -23,48 +22,34 @@
 #include <span>
 #include <vector>
 
+#include "layout/parasitics.hpp"
+#include "net/netlist.hpp"
 #include "noise/coupling_calc.hpp"
 #include "obs/memory.hpp"
 #include "runtime/task_graph.hpp"
 #include "session/what_if.hpp"
+#include "sta/delay_model.hpp"
 #include "topk/stages/stage_context.hpp"
 
 namespace tka::session {
 
-class DesignSnapshot;
-
 struct SessionOptions {
   /// Keep every cardinality layer of candidate lists (and the elimination
   /// sweep-0 snapshots) alive between queries — required for what_if().
-  /// One-shot runs set false and get the two-layer rolling memory of the
-  /// old engine.
-  bool retain_candidates = true;
+  /// Off, a run keeps a two-layer rolling memory: cardinality i reads only
+  /// layer i-1, so older layers are freed as the run goes.
+  bool retain_candidates = false;
 };
 
 class AnalysisSession {
  public:
-  /// Borrowing session: analyzes an externally owned design. what_if() is
-  /// unavailable (the design cannot be edited through the session).
-  AnalysisSession(const net::Netlist& nl, const layout::Parasitics& par,
-                  const sta::DelayModel& model,
-                  const noise::CouplingCalculator& calc,
-                  SessionOptions options = {});
-
-  /// Owning session: takes private, editable copies of the netlist and
-  /// parasitics (the cell library referenced by `nl` must outlive the
-  /// session) and builds its own delay model and coupling calculator.
+  /// Takes the netlist and parasitics as the session's editable copies
+  /// (the cell library referenced by `nl` must outlive the session) and
+  /// builds the delay model and analytic coupling calculator over them.
+  /// Both are chunked copy-on-write: passing a copy costs O(chunk table).
   AnalysisSession(net::Netlist nl, layout::Parasitics par,
                   const sta::DelayModelOptions& model_options,
                   SessionOptions options = {});
-
-  /// Session over a pinned immutable snapshot: an owning session whose
-  /// private copies are COW — structurally sharing the snapshot's storage
-  /// until a what_if edit detaches a chunk. The snapshot stays alive
-  /// (pinned) for the session's lifetime, so building one is O(chunk
-  /// table), not O(design). This is how shard workers serve queries
-  /// without replica copies.
-  explicit AnalysisSession(std::shared_ptr<const DesignSnapshot> snapshot,
-                           SessionOptions options = {});
 
   ~AnalysisSession();
   AnalysisSession(const AnalysisSession&) = delete;
@@ -73,18 +58,13 @@ class AnalysisSession {
   /// Cold query: (re)primes the baseline state and enumerates everything.
   topk::TopkResult run(const topk::TopkOptions& options);
 
-  /// Incremental what-if query after a repair edit. Requires an owning,
-  /// primed session with retain_candidates on. Uses the options of the
-  /// last run().
+  /// Incremental what-if query after a repair edit. Requires a primed
+  /// session with retain_candidates on. Uses the options of the last run().
   topk::TopkResult what_if(const WhatIfEdit& edit);
 
   bool primed() const { return primed_; }
-  /// The pinned snapshot (null unless snapshot-constructed).
-  const std::shared_ptr<const DesignSnapshot>& snapshot() const {
-    return snap_;
-  }
-  const net::Netlist& netlist() const { return *design_.nl; }
-  const layout::Parasitics& parasitics() const { return *design_.par; }
+  const net::Netlist& netlist() const { return nl_; }
+  const layout::Parasitics& parasitics() const { return par_; }
   const topk::TopkOptions& options() const { return opt_; }
   /// The mask=all fixpoint report of the current design state.
   const noise::NoiseReport& baseline_report() const;
@@ -96,16 +76,12 @@ class AnalysisSession {
   double evaluate_members(std::span<const layout::CapId> members,
                           const noise::IterativeOptions& iterative, bool warm);
 
-  // Owning storage; null in borrowing sessions. Declaration order matters:
-  // the model binds the copies, the calculator binds the model.
-  std::unique_ptr<net::Netlist> nl_own_;
-  std::unique_ptr<layout::Parasitics> par_own_;
-  std::unique_ptr<sta::DelayModel> model_own_;
-  std::unique_ptr<noise::CouplingCalculator> calc_own_;
-  /// Keeps the source snapshot alive while the owning copies share its
-  /// storage chunks (null for non-snapshot sessions).
-  std::shared_ptr<const DesignSnapshot> snap_;
-
+  // Declaration order matters: the model binds the copies, the calculator
+  // binds the model, and design_ points at all four.
+  net::Netlist nl_;
+  layout::Parasitics par_;
+  sta::DelayModel model_;
+  noise::AnalyticCouplingCalculator calc_;
   topk::stages::DesignRef design_;
   SessionOptions sopt_;
   topk::TopkOptions opt_;

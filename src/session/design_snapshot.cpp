@@ -51,9 +51,7 @@ DesignSnapshot::DesignSnapshot(std::uint64_t epoch, net::Netlist nl,
     : epoch_(epoch),
       nl_(std::make_unique<net::Netlist>(std::move(nl))),
       par_(std::make_unique<layout::Parasitics>(std::move(par))),
-      model_(std::make_unique<sta::DelayModel>(*nl_, *par_, model_opt)),
-      calc_(std::make_unique<noise::AnalyticCouplingCalculator>(*par_,
-                                                                *model_)) {
+      model_opt_(model_opt) {
   // Bytes introduced over the parent: chunks of this design that the
   // parent does not reference. The base snapshot owns everything.
   std::unordered_map<const void*, std::size_t> mine;
@@ -99,7 +97,7 @@ std::shared_ptr<const DesignSnapshot> DesignSnapshot::apply(
   layout::Parasitics par(*par_);
   apply_edit_to_design(nl, par, edit);  // detaches only touched chunks
   return std::shared_ptr<const DesignSnapshot>(new DesignSnapshot(
-      epoch_ + 1, std::move(nl), std::move(par), model_->options(), this));
+      epoch_ + 1, std::move(nl), std::move(par), model_opt_, this));
 }
 
 DesignSnapshot::Stats DesignSnapshot::stats() {

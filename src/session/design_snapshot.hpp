@@ -1,13 +1,13 @@
 // DesignSnapshot: an epoch-stamped, refcounted, immutable view of one
-// design state — netlist + parasitics plus the derived read-only state
-// (delay model, coupling calculator) every query needs.
+// design state — netlist + parasitics plus the delay-model options.
 //
-// The serving layer publishes one snapshot per committed epoch. Readers
-// pin a snapshot (a shared_ptr copy) for the duration of a job instead of
-// owning a private replica; a what_if commit produces the next snapshot by
-// copy-on-write — the Netlist/Parasitics copies share every storage chunk
-// the edit did not touch (util::CowVec), so the chain costs
-// O(design + edits), not O(snapshots × design).
+// The serving layer publishes one snapshot per committed epoch. A job pins
+// the head snapshot (a shared_ptr copy) while it runs; sessions take COW
+// copies of its netlist and parasitics, which hold the chunks themselves.
+// A what_if commit produces the next snapshot by copy-on-write — the
+// Netlist/Parasitics copies share every storage chunk the edit did not
+// touch (util::CowVec), so the chain costs O(design + edits), not
+// O(snapshots × design).
 //
 // Every live snapshot registers in a process-wide table so the serving
 // gauges (server.snapshots_live, server.snapshot_bytes_*) can report how
@@ -24,7 +24,6 @@
 
 #include "layout/parasitics.hpp"
 #include "net/netlist.hpp"
-#include "noise/coupling_calc.hpp"
 #include "obs/memory.hpp"
 #include "session/what_if.hpp"
 #include "sta/delay_model.hpp"
@@ -56,11 +55,7 @@ class DesignSnapshot {
   std::uint64_t epoch() const { return epoch_; }
   const net::Netlist& netlist() const { return *nl_; }
   const layout::Parasitics& parasitics() const { return *par_; }
-  const sta::DelayModel& model() const { return *model_; }
-  const noise::CouplingCalculator& calc() const { return *calc_; }
-  const sta::DelayModelOptions& model_options() const {
-    return model_->options();
-  }
+  const sta::DelayModelOptions& model_options() const { return model_opt_; }
 
   /// Approximate bytes of COW storage this snapshot introduced over its
   /// parent (the whole design for the base snapshot).
@@ -90,12 +85,9 @@ class DesignSnapshot {
                  const DesignSnapshot* parent);
 
   const std::uint64_t epoch_;
-  // Declaration order matters: the model binds the copies, the calculator
-  // binds the model.
   std::unique_ptr<net::Netlist> nl_;
   std::unique_ptr<layout::Parasitics> par_;
-  std::unique_ptr<sta::DelayModel> model_;
-  std::unique_ptr<noise::AnalyticCouplingCalculator> calc_;
+  const sta::DelayModelOptions model_opt_;
   std::size_t unique_bytes_ = 0;
   obs::TrackedBytes tracked_bytes_{"mem.snapshot_bytes"};
 };

@@ -1,4 +1,5 @@
-// The top-k aggressor-set engine (paper §3, Figure 9).
+// Options and results of the top-k aggressor-set engine (paper §3,
+// Figure 9); a query runs through session::AnalysisSession.
 //
 // Implicit bottom-up enumeration: for cardinality i = 1..k, every victim
 // net (in topological order) builds its list_i from
@@ -19,7 +20,7 @@
 #include <cstddef>
 
 #include <limits>
-#include <span>
+#include <vector>
 
 #include "noise/aggressor_filter.hpp"
 #include "noise/iterative.hpp"
@@ -120,28 +121,6 @@ struct TopkResult {
 
   noise::NoiseReport all_aggressor_report;  ///< the mask=all fixpoint
   TopkStats stats;
-};
-
-/// The engine. Stateless between runs; bind once per design.
-class TopkEngine {
- public:
-  TopkEngine(const net::Netlist& nl, const layout::Parasitics& par,
-             const sta::DelayModel& model, const noise::CouplingCalculator& calc)
-      : nl_(&nl), par_(&par), model_(&model), calc_(&calc) {}
-
-  TopkResult run(const TopkOptions& options) const;
-
-  /// Evaluates the circuit delay with exactly `members` active (addition)
-  /// or with `members` removed from the full set (elimination), via the
-  /// iterative fixpoint. Used for re-evaluation and by benches.
-  double evaluate_set(std::span<const layout::CapId> members, Mode mode,
-                      const noise::IterativeOptions& iterative) const;
-
- private:
-  const net::Netlist* nl_;
-  const layout::Parasitics* par_;
-  const sta::DelayModel* model_;
-  const noise::CouplingCalculator* calc_;
 };
 
 }  // namespace tka::topk

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "fixtures.hpp"
-#include "noise/coupling_calc.hpp"
 #include "obs/obs.hpp"
+#include "session/analysis_session.hpp"
 #include "topk/topk_engine.hpp"
 
 namespace tka::topk {
@@ -14,15 +14,13 @@ using test::Fixture;
 
 struct Harness {
   Fixture fx;
-  sta::DelayModel model;
-  noise::AnalyticCouplingCalculator calc;
-  TopkEngine engine;
 
-  explicit Harness(Fixture f)
-      : fx(std::move(f)),
-        model(*fx.netlist, fx.parasitics),
-        calc(fx.parasitics, model),
-        engine(*fx.netlist, fx.parasitics, model, calc) {}
+  explicit Harness(Fixture f) : fx(std::move(f)) {}
+
+  TopkResult run(const TopkOptions& opt) const {
+    session::AnalysisSession s(*fx.netlist, fx.parasitics, {});
+    return s.run(opt);
+  }
 
   TopkOptions options(int k, Mode mode) const {
     TopkOptions opt;
@@ -42,7 +40,7 @@ Fixture basic_fixture() {
 
 TEST(EngineEdge, NoCouplingsAtAll) {
   Harness h(test::make_parallel_chains(2, 2));
-  const TopkResult res = h.engine.run(h.options(3, Mode::kAddition));
+  const TopkResult res = h.run(h.options(3, Mode::kAddition));
   EXPECT_TRUE(res.members.empty());
   EXPECT_DOUBLE_EQ(res.baseline_delay, res.reference_delay);
   EXPECT_DOUBLE_EQ(res.estimated_delay, res.baseline_delay);
@@ -50,7 +48,7 @@ TEST(EngineEdge, NoCouplingsAtAll) {
 
 TEST(EngineEdge, KLargerThanCouplingCount) {
   Harness h(basic_fixture());
-  const TopkResult res = h.engine.run(h.options(10, Mode::kAddition));
+  const TopkResult res = h.run(h.options(10, Mode::kAddition));
   // At most the two existing couplings can be chosen; the trail carries the
   // best available set through the remaining cardinalities.
   EXPECT_LE(res.members.size(), 2u);
@@ -63,7 +61,7 @@ TEST(EngineEdge, AllCouplingsZeroed) {
   fx.parasitics.zero_coupling(0);
   fx.parasitics.zero_coupling(1);
   Harness h(std::move(fx));
-  const TopkResult res = h.engine.run(h.options(2, Mode::kElimination));
+  const TopkResult res = h.run(h.options(2, Mode::kElimination));
   EXPECT_TRUE(res.members.empty());
   EXPECT_DOUBLE_EQ(res.baseline_delay, res.reference_delay);
 }
@@ -72,7 +70,7 @@ TEST(EngineEdge, TightSlackThresholdStillSound) {
   Harness h(basic_fixture());
   TopkOptions opt = h.options(2, Mode::kAddition);
   opt.victim_slack_threshold = 0.0;  // only exactly-critical victims
-  const TopkResult res = h.engine.run(opt);
+  const TopkResult res = h.run(opt);
   // Whatever is found must still be a valid bracketed result.
   EXPECT_GE(res.evaluated_delay, res.baseline_delay - 1e-9);
   EXPECT_LE(res.evaluated_delay, res.reference_delay + 1e-9);
@@ -86,7 +84,7 @@ TEST(EngineEdge, MaxPrimaryPerVictimOne) {
   Harness h(std::move(fx));
   TopkOptions opt = h.options(1, Mode::kAddition);
   opt.max_primary_per_victim = 1;
-  const TopkResult res = h.engine.run(opt);
+  const TopkResult res = h.run(opt);
   // Only the largest coupling per victim is enumerable.
   ASSERT_EQ(res.members.size(), 1u);
   EXPECT_EQ(res.members[0], 0u);
@@ -96,7 +94,7 @@ TEST(EngineEdge, ReevaluateOffUsesEstimate) {
   Harness h(basic_fixture());
   TopkOptions opt = h.options(2, Mode::kAddition);
   opt.reevaluate = false;
-  const TopkResult res = h.engine.run(opt);
+  const TopkResult res = h.run(opt);
   EXPECT_DOUBLE_EQ(res.evaluated_delay, res.estimated_delay);
 }
 
@@ -105,8 +103,8 @@ TEST(EngineEdge, RerankZeroKeepsEstimatorChoice) {
   TopkOptions with = h.options(2, Mode::kElimination);
   TopkOptions without = h.options(2, Mode::kElimination);
   without.rerank_top = 0;
-  const TopkResult r1 = h.engine.run(with);
-  const TopkResult r2 = h.engine.run(without);
+  const TopkResult r1 = h.run(with);
+  const TopkResult r2 = h.run(without);
   // Re-ranking may only improve (reduce) the elimination delay.
   EXPECT_LE(r1.evaluated_delay, r2.evaluated_delay + 1e-12);
 }
@@ -115,7 +113,7 @@ TEST(EngineEdge, HigherOrderToggleIsSafe) {
   Harness h(basic_fixture());
   TopkOptions opt = h.options(2, Mode::kAddition);
   opt.use_higher_order = false;
-  const TopkResult res = h.engine.run(opt);
+  const TopkResult res = h.run(opt);
   EXPECT_EQ(res.members.size(), 2u);
   EXPECT_GE(res.evaluated_delay, res.baseline_delay);
 }
@@ -125,15 +123,15 @@ TEST(EngineEdge, FilterToggleConsistency) {
   TopkOptions on = h.options(2, Mode::kAddition);
   TopkOptions off = h.options(2, Mode::kAddition);
   off.use_filter = false;
-  const TopkResult r1 = h.engine.run(on);
-  const TopkResult r2 = h.engine.run(off);
+  const TopkResult r1 = h.run(on);
+  const TopkResult r2 = h.run(off);
   // The filter is conservative, so both must find the same set here.
   EXPECT_EQ(r1.members, r2.members);
 }
 
 TEST(EngineEdge, StatsArePopulated) {
   Harness h(basic_fixture());
-  const TopkResult res = h.engine.run(h.options(2, Mode::kAddition));
+  const TopkResult res = h.run(h.options(2, Mode::kAddition));
 #if TKA_OBS_ENABLED
   // Counter-derived stats come from the obs metrics registry and read 0
   // when the observability layer is compiled out.
@@ -160,7 +158,7 @@ TEST(EngineEdge, SmallestPossibleCircuit) {
   fx.parasitics.add_coupling(in, out, 0.005);
   fx.arrivals.assign(fx.netlist->num_nets(), sta::InputArrival{});
   Harness h(std::move(fx));
-  const TopkResult res = h.engine.run(h.options(1, Mode::kAddition));
+  const TopkResult res = h.run(h.options(1, Mode::kAddition));
   EXPECT_EQ(res.members.size(), 1u);
 }
 

@@ -12,6 +12,7 @@
 #include "io/spef_lite.hpp"
 #include "noise/coupling_calc.hpp"
 #include "noise/iterative.hpp"
+#include "session/analysis_session.hpp"
 #include "sta/critical_path.hpp"
 #include "topk/topk_engine.hpp"
 
@@ -22,13 +23,15 @@ struct Pipeline {
   gen::GeneratedCircuit ckt;
   std::unique_ptr<sta::DelayModel> model;
   std::unique_ptr<noise::AnalyticCouplingCalculator> calc;
-  std::unique_ptr<topk::TopkEngine> engine;
 
   explicit Pipeline(gen::GeneratedCircuit c) : ckt(std::move(c)) {
     model = std::make_unique<sta::DelayModel>(*ckt.netlist, ckt.parasitics);
     calc = std::make_unique<noise::AnalyticCouplingCalculator>(ckt.parasitics, *model);
-    engine = std::make_unique<topk::TopkEngine>(*ckt.netlist, ckt.parasitics,
-                                                *model, *calc);
+  }
+
+  topk::TopkResult run(const topk::TopkOptions& opt) const {
+    session::AnalysisSession s(*ckt.netlist, ckt.parasitics, model->options());
+    return s.run(opt);
   }
 
   topk::TopkOptions options(int k, topk::Mode mode) const {
@@ -65,7 +68,7 @@ TEST(Integration, NoiseFixpointBracketsDelay) {
 TEST(Integration, AdditionResultWithinBrackets) {
   Pipeline pl(small_circuit());
   const topk::TopkResult res =
-      pl.engine->run(pl.options(5, topk::Mode::kAddition));
+      pl.run(pl.options(5, topk::Mode::kAddition));
   EXPECT_EQ(res.members.size(), 5u);
   EXPECT_GE(res.evaluated_delay, res.baseline_delay - 1e-9);
   EXPECT_LE(res.evaluated_delay, res.reference_delay + 1e-9);
@@ -76,7 +79,7 @@ TEST(Integration, AdditionResultWithinBrackets) {
 TEST(Integration, EliminationResultWithinBrackets) {
   Pipeline pl(small_circuit());
   const topk::TopkResult res =
-      pl.engine->run(pl.options(5, topk::Mode::kElimination));
+      pl.run(pl.options(5, topk::Mode::kElimination));
   EXPECT_EQ(res.members.size(), 5u);
   EXPECT_LE(res.evaluated_delay, res.baseline_delay + 1e-9);
   EXPECT_GE(res.evaluated_delay, res.reference_delay - 1e-9);
@@ -86,7 +89,7 @@ TEST(Integration, EliminationResultWithinBrackets) {
 TEST(Integration, AdditionTrailIsMonotoneAndTimed) {
   Pipeline pl(small_circuit());
   const topk::TopkResult res =
-      pl.engine->run(pl.options(8, topk::Mode::kAddition));
+      pl.run(pl.options(8, topk::Mode::kAddition));
   ASSERT_EQ(res.estimated_delay_by_k.size(), 8u);
   ASSERT_EQ(res.stats.runtime_by_k.size(), 8u);
   for (size_t i = 1; i < 8; ++i) {
@@ -102,7 +105,7 @@ TEST(Integration, AdditionTrailIsMonotoneAndTimed) {
 TEST(Integration, EliminationTrailIsMonotone) {
   Pipeline pl(small_circuit());
   const topk::TopkResult res =
-      pl.engine->run(pl.options(8, topk::Mode::kElimination));
+      pl.run(pl.options(8, topk::Mode::kElimination));
   for (size_t i = 1; i < 8; ++i) {
     EXPECT_LE(res.estimated_delay_by_k[i], res.estimated_delay_by_k[i - 1] + 1e-9);
   }
@@ -111,8 +114,8 @@ TEST(Integration, EliminationTrailIsMonotone) {
 TEST(Integration, FullyDeterministic) {
   Pipeline a(small_circuit(99));
   Pipeline b(small_circuit(99));
-  const topk::TopkResult ra = a.engine->run(a.options(4, topk::Mode::kAddition));
-  const topk::TopkResult rb = b.engine->run(b.options(4, topk::Mode::kAddition));
+  const topk::TopkResult ra = a.run(a.options(4, topk::Mode::kAddition));
+  const topk::TopkResult rb = b.run(b.options(4, topk::Mode::kAddition));
   EXPECT_EQ(ra.members, rb.members);
   EXPECT_DOUBLE_EQ(ra.evaluated_delay, rb.evaluated_delay);
   EXPECT_DOUBLE_EQ(ra.baseline_delay, rb.baseline_delay);
@@ -178,8 +181,8 @@ TEST(Integration, DominanceOffDoesNotImproveResult) {
   topk::TopkOptions with = pl.options(4, topk::Mode::kAddition);
   topk::TopkOptions without = pl.options(4, topk::Mode::kAddition);
   without.use_dominance = false;
-  const topk::TopkResult r1 = pl.engine->run(with);
-  const topk::TopkResult r2 = pl.engine->run(without);
+  const topk::TopkResult r1 = pl.run(with);
+  const topk::TopkResult r2 = pl.run(without);
   EXPECT_NEAR(r1.estimated_delay, r2.estimated_delay,
               0.02 * std::abs(r1.estimated_delay));
 }
@@ -208,12 +211,10 @@ N23 = NAND(N16, N19)
   const layout::Parasitics par = layout::extract(*nl, routes, ex);
   ASSERT_GT(par.num_couplings(), 0u);
 
-  sta::DelayModel model(*nl, par);
-  noise::AnalyticCouplingCalculator calc(par, model);
-  topk::TopkEngine engine(*nl, par, model, calc);
+  session::AnalysisSession session(*nl, par, sta::DelayModelOptions{});
   topk::TopkOptions opt;
   opt.k = 2;
-  const topk::TopkResult res = engine.run(opt);
+  const topk::TopkResult res = session.run(opt);
   EXPECT_EQ(res.members.size(), 2u);
   EXPECT_GT(res.evaluated_delay, res.baseline_delay);
 }

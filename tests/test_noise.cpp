@@ -14,6 +14,7 @@
 #include "noise/aggressor_filter.hpp"
 #include "noise/coupling_calc.hpp"
 #include "noise/envelope_builder.hpp"
+#include "noise/incremental_fixpoint.hpp"
 #include "noise/iterative.hpp"
 #include "noise/noise_analyzer.hpp"
 #include "obs/memory.hpp"
@@ -475,6 +476,56 @@ TEST(Iterative, PessimisticStartConvergesToSameFixpoint) {
   // well-behaved circuit they should coincide closely.
   EXPECT_GE(down.noisy_delay + 1e-9, up.noisy_delay);
   EXPECT_NEAR(down.noisy_delay, up.noisy_delay, 0.02);
+}
+
+// refresh() after each shield edit must equal a cold recompute() on an
+// independently edited copy, bit for bit, from the default start and from
+// the pessimistic (upper-bound) start.
+TEST(IncrementalFixpointTest, RefreshMatchesColdRecomputeFromBothStarts) {
+  for (bool pessimistic : {false, true}) {
+    for (std::uint64_t seed : {3, 5, 8, 13, 21, 34}) {
+      gen::GeneratorParams p;
+      p.name = "incfix";
+      p.num_gates = 120;
+      p.target_couplings = 300;
+      p.seed = seed;
+      gen::GeneratedCircuit ckt = gen::generate_circuit(p);
+      layout::Parasitics cold_par(ckt.parasitics);
+      IterativeOptions opt;
+      opt.sta = ckt.sta_options();
+      opt.pessimistic_start = pessimistic;
+      const std::size_t num_caps = ckt.parasitics.num_couplings();
+      const CouplingMask all = CouplingMask::all(num_caps);
+
+      sta::DelayModel model(*ckt.netlist, ckt.parasitics);
+      AnalyticCouplingCalculator calc(ckt.parasitics, model);
+      IncrementalFixpoint warm(*ckt.netlist, ckt.parasitics, model, calc, opt);
+      warm.recompute(all);
+
+      std::mt19937 rng(static_cast<unsigned>(seed));
+      for (int e = 0; e < 6; ++e) {
+        const layout::CapId cap = static_cast<layout::CapId>(rng() % num_caps);
+        ckt.parasitics.shield_coupling(cap);
+        cold_par.shield_coupling(cap);
+        const layout::CouplingCap& cc = ckt.parasitics.coupling(cap);
+        const net::NetId nets[] = {cc.net_a, cc.net_b};
+        const layout::CapId caps[] = {cap};
+        const NoiseReport& got = warm.refresh(nets, caps, all);
+
+        sta::DelayModel cold_model(*ckt.netlist, cold_par);
+        AnalyticCouplingCalculator cold_calc(cold_par, cold_model);
+        IncrementalFixpoint cold(*ckt.netlist, cold_par, cold_model, cold_calc,
+                                 opt);
+        const NoiseReport& want = cold.recompute(all);
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " edit " << e
+                                        << " pessimistic " << pessimistic);
+        EXPECT_EQ(got.delay_noise, want.delay_noise);
+        EXPECT_EQ(got.noisy_delay, want.noisy_delay);
+        EXPECT_EQ(got.iterations, want.iterations);
+        EXPECT_EQ(got.converged, want.converged);
+      }
+    }
+  }
 }
 
 TEST(Filter, FarWindowAggressorFiltered) {

@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "fixtures.hpp"
-#include "noise/coupling_calc.hpp"
 #include "obs/obs.hpp"
+#include "session/analysis_session.hpp"
 #include "topk/topk_engine.hpp"
 
 namespace tka::obs {
@@ -338,13 +338,11 @@ TEST_F(ObsTest, EngineRunPopulatesExpectedMetrics) {
   tracer().enable(true);
   test::Fixture fx = test::make_parallel_chains(2, 2);
   test::couple(fx, "c0_n1", "c1_n1", 0.008);
-  sta::DelayModel model(*fx.netlist, fx.parasitics);
-  noise::AnalyticCouplingCalculator calc(fx.parasitics, model);
-  topk::TopkEngine engine(*fx.netlist, fx.parasitics, model, calc);
+  session::AnalysisSession session(*fx.netlist, fx.parasitics, {});
   topk::TopkOptions opt;
   opt.k = 2;
   opt.iterative.sta = fx.sta_options();
-  const topk::TopkResult res = engine.run(opt);
+  const topk::TopkResult res = session.run(opt);
 
   // Registry counters the acceptance criteria name.
   EXPECT_GT(registry().counter("topk.sets_generated").value(), 0u);
@@ -448,13 +446,11 @@ TEST_F(ObsTest, DisabledEmittersStayValidJson) {
 TEST_F(ObsTest, DisabledEngineStillTimes) {
   test::Fixture fx = test::make_parallel_chains(2, 2);
   test::couple(fx, "c0_n1", "c1_n1", 0.008);
-  sta::DelayModel model(*fx.netlist, fx.parasitics);
-  noise::AnalyticCouplingCalculator calc(fx.parasitics, model);
-  topk::TopkEngine engine(*fx.netlist, fx.parasitics, model, calc);
+  session::AnalysisSession session(*fx.netlist, fx.parasitics, {});
   topk::TopkOptions opt;
   opt.k = 2;
   opt.iterative.sta = fx.sta_options();
-  const topk::TopkResult res = engine.run(opt);
+  const topk::TopkResult res = session.run(opt);
   // Counter-derived fields read 0, but timing (obs clock) still works.
   EXPECT_EQ(res.stats.sets_generated, 0u);
   EXPECT_GT(res.stats.runtime_s, 0.0);

@@ -167,7 +167,9 @@ TEST(Telemetry, SessionByteGaugesDrainOnTeardown) {
     opt.k = 2;
     opt.mode = topk::Mode::kElimination;
     opt.iterative.sta = fx.sta_options();
-    session::AnalysisSession s(*fx.netlist, fx.parasitics, {});
+    session::AnalysisSession s(
+        *fx.netlist, fx.parasitics, {},
+        session::SessionOptions{.retain_candidates = true});
     const topk::TopkResult res = s.run(opt);
     EXPECT_FALSE(res.members.empty());
     EXPECT_GT(TrackedBytes::total("mem.candidate_tables_bytes"), 0);

@@ -12,6 +12,7 @@
 #include "noise/coupling_calc.hpp"
 #include "noise/iterative.hpp"
 #include "obs/metrics.hpp"
+#include "session/analysis_session.hpp"
 #include "topk/brute_force.hpp"
 #include "topk/topk_engine.hpp"
 #include "util/rng.hpp"
@@ -23,14 +24,16 @@ struct Pipeline {
   gen::GeneratedCircuit ckt;
   std::unique_ptr<sta::DelayModel> model;
   std::unique_ptr<noise::AnalyticCouplingCalculator> calc;
-  std::unique_ptr<topk::TopkEngine> engine;
 
   explicit Pipeline(gen::GeneratedCircuit c) : ckt(std::move(c)) {
     model = std::make_unique<sta::DelayModel>(*ckt.netlist, ckt.parasitics);
     calc = std::make_unique<noise::AnalyticCouplingCalculator>(ckt.parasitics,
                                                                *model);
-    engine = std::make_unique<topk::TopkEngine>(*ckt.netlist, ckt.parasitics,
-                                                *model, *calc);
+  }
+
+  topk::TopkResult run(const topk::TopkOptions& opt) const {
+    session::AnalysisSession s(*ckt.netlist, ckt.parasitics, model->options());
+    return s.run(opt);
   }
 };
 
@@ -78,7 +81,7 @@ topk::TopkResult run_counted(const Pipeline& pl, const topk::TopkOptions& opt,
   obs::Counter& misses = obs::registry().counter("noise.envelope_cache_misses");
   const std::uint64_t hits_before = hits.value();
   const std::uint64_t misses_before = misses.value();
-  topk::TopkResult res = pl.engine->run(opt);
+  topk::TopkResult res = pl.run(opt);
   counts->hits = hits.value() - hits_before;
   counts->misses = misses.value() - misses_before;
   return res;

@@ -6,6 +6,7 @@
 #include "fixtures.hpp"
 #include "io/report_writer.hpp"
 #include "noise/coupling_calc.hpp"
+#include "session/analysis_session.hpp"
 
 namespace tka::io {
 namespace {
@@ -34,6 +35,11 @@ struct ReportHarness {
               it.sta = fx.sta_options();
               return it;
             }())) {}
+
+  topk::TopkResult run(const topk::TopkOptions& opt) const {
+    session::AnalysisSession s(*fx.netlist, fx.parasitics, model.options());
+    return s.run(opt);
+  }
 };
 
 TEST(JsonEscape, HandlesSpecials) {
@@ -64,11 +70,10 @@ TEST(NoiseReportJson, ContainsDelaysAndNoisyNets) {
 
 TEST(TopkJson, RoundTripsSetMembers) {
   ReportHarness h;
-  topk::TopkEngine engine(*h.fx.netlist, h.fx.parasitics, h.model, h.calc);
   topk::TopkOptions opt;
   opt.k = 1;
   opt.iterative.sta = h.fx.sta_options();
-  const topk::TopkResult res = engine.run(opt);
+  const topk::TopkResult res = h.run(opt);
 
   std::ostringstream os;
   write_topk_result_json(os, *h.fx.netlist, h.fx.parasitics, res, 1);
@@ -81,11 +86,10 @@ TEST(TopkJson, RoundTripsSetMembers) {
 
 TEST(TopkJson, StatsSectionPresent) {
   ReportHarness h;
-  topk::TopkEngine engine(*h.fx.netlist, h.fx.parasitics, h.model, h.calc);
   topk::TopkOptions opt;
   opt.k = 2;
   opt.iterative.sta = h.fx.sta_options();
-  const topk::TopkResult res = engine.run(opt);
+  const topk::TopkResult res = h.run(opt);
 
   std::ostringstream os;
   write_topk_result_json(os, *h.fx.netlist, h.fx.parasitics, res, 2);
@@ -106,11 +110,10 @@ TEST(TopkJson, StatsSectionPresent) {
 
 TEST(TopkCsv, OneRowPerCardinality) {
   ReportHarness h;
-  topk::TopkEngine engine(*h.fx.netlist, h.fx.parasitics, h.model, h.calc);
   topk::TopkOptions opt;
   opt.k = 3;
   opt.iterative.sta = h.fx.sta_options();
-  const topk::TopkResult res = engine.run(opt);
+  const topk::TopkResult res = h.run(opt);
 
   std::ostringstream os;
   write_topk_trail_csv(os, res);

@@ -1,7 +1,8 @@
-// Tests for the persistent AnalysisSession: cold runs must match the
-// TopkEngine wrapper, and incremental what_if() queries must be
-// bit-identical to a cold run on the edited design — at every thread count
-// — while reusing the warm envelope caches outside the edit cone.
+// Tests for the persistent AnalysisSession: a retaining session's cold run
+// must match a one-shot session's, and incremental what_if() queries must
+// be bit-identical to a one-shot run on the edited design — at every
+// thread count — while reusing the warm envelope caches outside the edit
+// cone.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -10,17 +11,17 @@
 
 #include "fixtures.hpp"
 #include "gen/circuit_generator.hpp"
-#include "noise/coupling_calc.hpp"
 #include "obs/obs.hpp"
 #include "session/analysis_session.hpp"
-#include "sta/delay_model.hpp"
-#include "topk/topk_engine.hpp"
 #include "util/assert.hpp"
 
 namespace tka::session {
 namespace {
 
 using test::Fixture;
+
+// Sessions that serve what_if() keep every candidate layer.
+const SessionOptions kRetain{.retain_candidates = true};
 
 // The victim chain plus three aggressor chains of clearly distinct coupling
 // strengths; long enough that an edit's cone is a small part of the design.
@@ -54,12 +55,11 @@ void apply_to(Fixture& fx, const WhatIfEdit& edit) {
   }
 }
 
+// A one-shot run: a fresh session with the default (rolling) memory.
 topk::TopkResult cold_reference(const Fixture& fx,
                                 const topk::TopkOptions& opt) {
-  sta::DelayModel model(*fx.netlist, fx.parasitics);
-  noise::AnalyticCouplingCalculator calc(fx.parasitics, model);
-  topk::TopkEngine engine(*fx.netlist, fx.parasitics, model, calc);
-  return engine.run(opt);
+  AnalysisSession s(*fx.netlist, fx.parasitics, {});
+  return s.run(opt);
 }
 
 // Bit-identical on everything the identity contract covers (stats, being
@@ -75,15 +75,15 @@ void expect_identical(const topk::TopkResult& a, const topk::TopkResult& b) {
   EXPECT_EQ(a.finalists_by_k, b.finalists_by_k);
 }
 
-TEST(Session, ColdRunMatchesEngineWrapper) {
+TEST(Session, ColdRunMatchesOneShotSession) {
   for (topk::Mode mode : {topk::Mode::kAddition, topk::Mode::kElimination}) {
     Fixture fx = repair_fixture();
     const topk::TopkOptions opt = options(fx, 3, mode);
-    const topk::TopkResult engine_res = cold_reference(fx, opt);
+    const topk::TopkResult one_shot = cold_reference(fx, opt);
 
     Fixture fx2 = repair_fixture();
-    AnalysisSession s(*fx2.netlist, fx2.parasitics, {});
-    expect_identical(s.run(opt), engine_res);
+    AnalysisSession s(*fx2.netlist, fx2.parasitics, {}, kRetain);
+    expect_identical(s.run(opt), one_shot);
     EXPECT_TRUE(s.primed());
   }
 }
@@ -92,7 +92,7 @@ TEST(Session, WhatIfZeroCouplingMatchesColdRun) {
   for (topk::Mode mode : {topk::Mode::kAddition, topk::Mode::kElimination}) {
     Fixture fx = repair_fixture();
     const topk::TopkOptions opt = options(fx, 2, mode);
-    AnalysisSession s(*fx.netlist, fx.parasitics, {});
+    AnalysisSession s(*fx.netlist, fx.parasitics, {}, kRetain);
     const topk::TopkResult cold = s.run(opt);
 
     // Repair the strongest coupling the cold run found.
@@ -112,7 +112,7 @@ TEST(Session, WhatIfShieldAndResizeMatchesColdRun) {
     Fixture fx = repair_fixture();
     const net::CellLibrary& lib = net::CellLibrary::default_library();
     const topk::TopkOptions opt = options(fx, 2, mode);
-    AnalysisSession s(*fx.netlist, fx.parasitics, {});
+    AnalysisSession s(*fx.netlist, fx.parasitics, {}, kRetain);
     s.run(opt);
 
     WhatIfEdit edit;
@@ -131,7 +131,7 @@ TEST(Session, WhatIfShieldAndResizeMatchesColdRun) {
 TEST(Session, SequentialEditsStayIdentical) {
   Fixture fx = repair_fixture();
   const topk::TopkOptions opt = options(fx, 2, topk::Mode::kElimination);
-  AnalysisSession s(*fx.netlist, fx.parasitics, {});
+  AnalysisSession s(*fx.netlist, fx.parasitics, {}, kRetain);
   s.run(opt);
 
   Fixture edited = repair_fixture();
@@ -167,7 +167,7 @@ TEST(Session, WhatIfIdenticalAcrossThreadCounts) {
 
       for (int threads : {1, 2, 8}) {
         Fixture fx = repair_fixture();
-        AnalysisSession s(*fx.netlist, fx.parasitics, {});
+        AnalysisSession s(*fx.netlist, fx.parasitics, {}, kRetain);
         s.run(options(fx, 2, mode, threads));
         expect_identical(s.what_if(edit), reference);
       }
@@ -188,7 +188,7 @@ TEST(Session, WhatIfOnGeneratedCircuitMatchesColdRun) {
     opt.mode = mode;
     opt.iterative.sta = a.sta_options();
 
-    AnalysisSession s(*a.netlist, a.parasitics, {});
+    AnalysisSession s(*a.netlist, a.parasitics, {}, kRetain);
     const topk::TopkResult cold = s.run(opt);
     ASSERT_FALSE(cold.members.empty());
     WhatIfEdit edit;
@@ -198,10 +198,8 @@ TEST(Session, WhatIfOnGeneratedCircuitMatchesColdRun) {
     gen::GeneratedCircuit b = gen::generate_circuit(params);
     opt.iterative.sta = b.sta_options();
     for (layout::CapId cap : edit.zero_couplings) b.parasitics.zero_coupling(cap);
-    sta::DelayModel model(*b.netlist, b.parasitics);
-    noise::AnalyticCouplingCalculator calc(b.parasitics, model);
-    topk::TopkEngine engine(*b.netlist, b.parasitics, model, calc);
-    expect_identical(warm, engine.run(opt));
+    AnalysisSession one_shot(*b.netlist, b.parasitics, {});
+    expect_identical(warm, one_shot.run(opt));
   }
 }
 
@@ -213,7 +211,7 @@ TEST(Session, WhatIfReusesEnvelopeCacheOutsideEditCone) {
   obs::Counter& invalidated =
       obs::registry().counter("noise.envelope_cache_invalidated");
 
-  AnalysisSession s(*fx.netlist, fx.parasitics, {});
+  AnalysisSession s(*fx.netlist, fx.parasitics, {}, kRetain);
   const std::uint64_t misses_before_cold = misses.value();
   s.run(opt);
   const std::uint64_t cold_misses = misses.value() - misses_before_cold;
@@ -241,23 +239,15 @@ TEST(Session, WhatIfPreconditionsAreChecked) {
   WhatIfEdit edit;
   edit.zero_couplings = {0};
 
-  // Borrowing sessions cannot edit the design.
-  sta::DelayModel model(*fx.netlist, fx.parasitics);
-  noise::AnalyticCouplingCalculator calc(fx.parasitics, model);
-  AnalysisSession borrowing(*fx.netlist, fx.parasitics, model, calc, {});
-  EXPECT_THROW(borrowing.what_if(edit), Error);
-
   // Unprimed sessions have no baseline to refresh.
-  Fixture fx2 = repair_fixture();
-  AnalysisSession unprimed(*fx2.netlist, fx2.parasitics, {});
+  AnalysisSession unprimed(*fx.netlist, fx.parasitics, {}, kRetain);
   EXPECT_THROW(unprimed.what_if(edit), Error);
 
-  // retain_candidates=false drops the candidate layers what_if needs.
-  Fixture fx3 = repair_fixture();
-  SessionOptions no_retain;
-  no_retain.retain_candidates = false;
-  AnalysisSession rolling(*fx3.netlist, fx3.parasitics, {}, no_retain);
-  rolling.run(options(fx3, 2, topk::Mode::kAddition));
+  // The default, retain_candidates=false, drops the candidate layers
+  // what_if needs.
+  Fixture fx2 = repair_fixture();
+  AnalysisSession rolling(*fx2.netlist, fx2.parasitics, {});
+  rolling.run(options(fx2, 2, topk::Mode::kAddition));
   EXPECT_THROW(rolling.what_if(edit), Error);
 }
 

@@ -206,20 +206,56 @@ TEST(DesignSnapshot, SessionOnSnapshotMatchesColdRun) {
                                         sta::DelayModelOptions{});
   auto child = base->apply(edit);
 
-  session::AnalysisSession pinned(child, session::SessionOptions{
-                                             .retain_candidates = true});
-  const topk::TopkResult got = pinned.run(options(fx, 2));
+  session::AnalysisSession on_child(
+      net::Netlist(child->netlist()), layout::Parasitics(child->parasitics()),
+      child->model_options(),
+      session::SessionOptions{.retain_candidates = true});
+  const topk::TopkResult got = on_child.run(options(fx, 2));
 
   // Cold reference on deep copies of the edited design.
   Fixture ref = snapshot_fixture();
   ref.parasitics.shield_coupling(1);
   session::AnalysisSession cold(std::move(*ref.netlist),
                                 layout::Parasitics(ref.parasitics),
-                                sta::DelayModelOptions{},
-                                session::SessionOptions{
-                                    .retain_candidates = false});
+                                sta::DelayModelOptions{});
   const topk::TopkResult want = cold.run(options(fx, 2));
   expect_identical(got, want);
+}
+
+// A session's COW copies hold the storage chunks they share with the
+// snapshot they came from, so the session needs no pin: it keeps answering
+// what_if after the whole chain is freed.
+TEST(DesignSnapshot, SessionOutlivesItsSnapshotChain) {
+  Fixture fx = snapshot_fixture();
+  WhatIfEdit first;
+  first.shield_couplings = {1};
+  WhatIfEdit second;
+  second.zero_couplings = {0};
+
+  const std::size_t live_before = DesignSnapshot::stats().live;
+  std::unique_ptr<session::AnalysisSession> s;
+  {
+    auto base = DesignSnapshot::make_base(net::Netlist(*fx.netlist),
+                                          layout::Parasitics(fx.parasitics),
+                                          sta::DelayModelOptions{});
+    auto child = base->apply(first);
+    s = std::make_unique<session::AnalysisSession>(
+        net::Netlist(child->netlist()), layout::Parasitics(child->parasitics()),
+        child->model_options(),
+        session::SessionOptions{.retain_candidates = true});
+    s->run(options(fx, 2));
+  }
+  EXPECT_EQ(DesignSnapshot::stats().live, live_before);
+  const topk::TopkResult got = s->what_if(second);
+
+  // One-shot reference on deep copies that carry both edits.
+  Fixture ref = snapshot_fixture();
+  session::apply_edit_to_design(*ref.netlist, ref.parasitics, first);
+  session::apply_edit_to_design(*ref.netlist, ref.parasitics, second);
+  session::AnalysisSession one_shot(std::move(*ref.netlist),
+                                    std::move(ref.parasitics),
+                                    sta::DelayModelOptions{});
+  expect_identical(got, one_shot.run(options(fx, 2)));
 }
 
 TEST(DesignSnapshot, StatsCountSharingAcrossChain) {

@@ -15,10 +15,9 @@
 
 #include "gen/circuit_generator.hpp"
 #include "io/report_writer.hpp"
-#include "noise/coupling_calc.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/task_graph.hpp"
-#include "sta/delay_model.hpp"
+#include "session/analysis_session.hpp"
 #include "topk/topk_engine.hpp"
 
 namespace tka {
@@ -253,9 +252,6 @@ TEST(TaskGraphEngine, BitIdenticalAcrossThreadCountsUnderStealStress) {
   p.target_couplings = 110;
   p.seed = 23;
   gen::GeneratedCircuit ckt = gen::generate_circuit(p);
-  sta::DelayModel model(*ckt.netlist, ckt.parasitics);
-  noise::AnalyticCouplingCalculator calc(ckt.parasitics, model);
-  topk::TopkEngine engine(*ckt.netlist, ckt.parasitics, model, calc);
 
   for (topk::Mode mode : {topk::Mode::kAddition, topk::Mode::kElimination}) {
     std::string serial_json;
@@ -266,7 +262,8 @@ TEST(TaskGraphEngine, BitIdenticalAcrossThreadCountsUnderStealStress) {
       opt.threads = threads;
       opt.beam_cap = 12;
       opt.iterative.sta = ckt.sta_options();
-      topk::TopkResult res = engine.run(opt);
+      session::AnalysisSession session(*ckt.netlist, ckt.parasitics, {});
+      topk::TopkResult res = session.run(opt);
       res.stats.threads = 0;
       res.stats.runtime_s = 0.0;
       res.stats.runtime_by_k.assign(res.stats.runtime_by_k.size(), 0.0);

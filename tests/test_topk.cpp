@@ -9,6 +9,7 @@
 #include "gen/circuit_generator.hpp"
 #include "noise/coupling_calc.hpp"
 #include "noise/noise_analyzer.hpp"
+#include "session/analysis_session.hpp"
 #include "topk/aggressor.hpp"
 #include "topk/brute_force.hpp"
 #include "topk/dominance.hpp"
@@ -205,13 +206,16 @@ struct EngineHarness {
   Fixture fx;
   sta::DelayModel model;
   noise::AnalyticCouplingCalculator calc;
-  TopkEngine engine;
 
   explicit EngineHarness(Fixture f)
       : fx(std::move(f)),
         model(*fx.netlist, fx.parasitics),
-        calc(fx.parasitics, model),
-        engine(*fx.netlist, fx.parasitics, model, calc) {}
+        calc(fx.parasitics, model) {}
+
+  TopkResult run(const TopkOptions& opt) const {
+    session::AnalysisSession s(*fx.netlist, fx.parasitics, model.options());
+    return s.run(opt);
+  }
 
   TopkOptions options(int k, Mode mode) const {
     TopkOptions opt;
@@ -235,7 +239,7 @@ Fixture single_victim_three_aggressors() {
 
 TEST(Engine, Top1PicksStrongestAggressor) {
   EngineHarness h(single_victim_three_aggressors());
-  const TopkResult res = h.engine.run(h.options(1, Mode::kAddition));
+  const TopkResult res = h.run(h.options(1, Mode::kAddition));
   ASSERT_EQ(res.members.size(), 1u);
   EXPECT_EQ(res.members[0], 0u);  // cap 0 = 0.012 pF
   EXPECT_GT(res.evaluated_delay, res.baseline_delay);
@@ -243,7 +247,7 @@ TEST(Engine, Top1PicksStrongestAggressor) {
 
 TEST(Engine, DelayByKMonotoneForAddition) {
   EngineHarness h(single_victim_three_aggressors());
-  const TopkResult res = h.engine.run(h.options(3, Mode::kAddition));
+  const TopkResult res = h.run(h.options(3, Mode::kAddition));
   ASSERT_EQ(res.estimated_delay_by_k.size(), 3u);
   EXPECT_LE(res.estimated_delay_by_k[0], res.estimated_delay_by_k[1] + 1e-9);
   EXPECT_LE(res.estimated_delay_by_k[1], res.estimated_delay_by_k[2] + 1e-9);
@@ -253,7 +257,7 @@ TEST(Engine, DelayByKMonotoneForAddition) {
 
 TEST(Engine, AdditionOfEverythingApproachesAllAggressorDelay) {
   EngineHarness h(single_victim_three_aggressors());
-  const TopkResult res = h.engine.run(h.options(3, Mode::kAddition));
+  const TopkResult res = h.run(h.options(3, Mode::kAddition));
   // Adding all three couplings must land exactly on the all-aggressor
   // fixpoint delay.
   EXPECT_NEAR(res.evaluated_delay, res.reference_delay, 1e-9);
@@ -261,7 +265,7 @@ TEST(Engine, AdditionOfEverythingApproachesAllAggressorDelay) {
 
 TEST(Engine, EliminationOfEverythingReachesNoiseless) {
   EngineHarness h(single_victim_three_aggressors());
-  const TopkResult res = h.engine.run(h.options(3, Mode::kElimination));
+  const TopkResult res = h.run(h.options(3, Mode::kElimination));
   EXPECT_EQ(res.members.size(), 3u);
   EXPECT_NEAR(res.evaluated_delay, res.reference_delay, 1e-9);
   EXPECT_LT(res.evaluated_delay, res.baseline_delay);
@@ -269,7 +273,7 @@ TEST(Engine, EliminationOfEverythingReachesNoiseless) {
 
 TEST(Engine, EliminationTop1RemovesStrongest) {
   EngineHarness h(single_victim_three_aggressors());
-  const TopkResult res = h.engine.run(h.options(1, Mode::kElimination));
+  const TopkResult res = h.run(h.options(1, Mode::kElimination));
   ASSERT_EQ(res.members.size(), 1u);
   EXPECT_EQ(res.members[0], 0u);
   EXPECT_LT(res.evaluated_delay, res.baseline_delay);
@@ -280,8 +284,8 @@ TEST(Engine, DominanceAblationPreservesResult) {
   TopkOptions with = h.options(2, Mode::kAddition);
   TopkOptions without = h.options(2, Mode::kAddition);
   without.use_dominance = false;
-  const TopkResult r1 = h.engine.run(with);
-  const TopkResult r2 = h.engine.run(without);
+  const TopkResult r1 = h.run(with);
+  const TopkResult r2 = h.run(without);
   EXPECT_EQ(r1.members, r2.members);
   // Pruning must have removed something on the way.
   EXPECT_GT(r1.stats.prune.removed_dominated, 0u);
@@ -289,8 +293,8 @@ TEST(Engine, DominanceAblationPreservesResult) {
 
 TEST(Engine, DeterministicAcrossRuns) {
   EngineHarness h(single_victim_three_aggressors());
-  const TopkResult r1 = h.engine.run(h.options(2, Mode::kAddition));
-  const TopkResult r2 = h.engine.run(h.options(2, Mode::kAddition));
+  const TopkResult r1 = h.run(h.options(2, Mode::kAddition));
+  const TopkResult r2 = h.run(h.options(2, Mode::kAddition));
   EXPECT_EQ(r1.members, r2.members);
   EXPECT_DOUBLE_EQ(r1.evaluated_delay, r2.evaluated_delay);
 }
@@ -344,7 +348,7 @@ TEST_P(BruteForceValidation, EngineMatchesExhaustive) {
   const auto [fixture_id, k, mode] = GetParam();
   EngineHarness h(validation_fixture(fixture_id));
 
-  const TopkResult engine_res = h.engine.run(h.options(k, mode));
+  const TopkResult engine_res = h.run(h.options(k, mode));
 
   topk::BruteForceOptions bf_opt;
   bf_opt.k = k;
@@ -392,7 +396,8 @@ TEST_P(GeneratedBruteForce, EngineMatchesExhaustiveK2) {
   const gen::GeneratedCircuit ckt = gen::generate_circuit(params);
   sta::DelayModel model(*ckt.netlist, ckt.parasitics);
   noise::AnalyticCouplingCalculator calc(ckt.parasitics, model);
-  topk::TopkEngine engine(*ckt.netlist, ckt.parasitics, model, calc);
+  session::AnalysisSession session(*ckt.netlist, ckt.parasitics,
+                                   model.options());
 
   topk::TopkOptions opt;
   opt.k = 2;
@@ -400,7 +405,7 @@ TEST_P(GeneratedBruteForce, EngineMatchesExhaustiveK2) {
   opt.beam_cap = 0;
   opt.rerank_top = 16;
   opt.iterative.sta = ckt.sta_options();
-  const topk::TopkResult engine_res = engine.run(opt);
+  const topk::TopkResult engine_res = session.run(opt);
 
   topk::BruteForceOptions bf_opt;
   bf_opt.k = 2;

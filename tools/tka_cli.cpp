@@ -231,14 +231,12 @@ int cmd_analyze(const Args& args) {
 int cmd_topk(const Args& args) {
   auto nl = load_netlist(args.netlist_path);
   const layout::Parasitics par = load_or_extract(args, *nl);
-  sta::DelayModel model(*nl, par);
-  noise::AnalyticCouplingCalculator calc(par, model);
-  topk::TopkEngine engine(*nl, par, model, calc);
+  session::AnalysisSession session(*nl, par, sta::DelayModelOptions{});
   topk::TopkOptions opt;
   opt.k = args.k;
   opt.mode = args.mode;
   opt.threads = args.threads;
-  const topk::TopkResult res = engine.run(opt);
+  const topk::TopkResult res = session.run(opt);
   std::printf("top-%d %s set (baseline %.4f ns -> %.4f ns):\n", args.k,
               args.mode == topk::Mode::kAddition ? "addition" : "elimination",
               res.baseline_delay, res.evaluated_delay);
@@ -271,7 +269,9 @@ int cmd_topk(const Args& args) {
 int cmd_whatif(const Args& args) {
   auto nl = load_netlist(args.netlist_path);
   layout::Parasitics par = load_or_extract(args, *nl);
-  session::AnalysisSession session(*nl, std::move(par), sta::DelayModelOptions{});
+  session::AnalysisSession session(
+      *nl, std::move(par), sta::DelayModelOptions{},
+      session::SessionOptions{.retain_candidates = true});
   topk::TopkOptions opt;
   opt.k = args.k;
   opt.mode = args.mode;
