@@ -234,7 +234,6 @@ void register_core_metrics() {
   reg.histogram("noise.fixpoint_iters", 1.0, 64.0);
   reg.histogram("sta.run_seconds", 1e-6, 100.0);
   reg.histogram("transient.solve_seconds", 1e-6, 100.0);
-  reg.histogram("runtime.level_batch_nets", 1.0, 1048576.0);
 }
 
 }  // namespace tka::obs

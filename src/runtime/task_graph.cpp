@@ -217,21 +217,22 @@ void TaskGraph::seal() {
   for (std::size_t i = 0; i < num_tasks_; ++i) succ_off_[i + 1] += succ_off_[i];
   std::vector<std::size_t> cursor(succ_off_.begin(), succ_off_.end() - 1);
   for (const auto& [from, to] : edges_) succ_[cursor[from]++] = to;
-  // One Kahn pass to reject cycles up front — a cyclic graph would park
-  // every lane forever with remaining > 0.
+  // One Kahn pass, ready set drained as an index-seeded FIFO: the serial
+  // drain's order, and the cycle check — a cyclic graph would park every
+  // lane forever with remaining > 0.
   std::vector<std::size_t> degree = preds_;
-  std::vector<std::size_t> fifo;
-  fifo.reserve(num_tasks_);
+  order_.clear();
+  order_.reserve(num_tasks_);
   for (std::size_t t = 0; t < num_tasks_; ++t) {
-    if (degree[t] == 0) fifo.push_back(t);
+    if (degree[t] == 0) order_.push_back(t);
   }
-  for (std::size_t head = 0; head < fifo.size(); ++head) {
-    const std::size_t t = fifo[head];
+  for (std::size_t head = 0; head < order_.size(); ++head) {
+    const std::size_t t = order_[head];
     for (std::size_t e = succ_off_[t]; e < succ_off_[t + 1]; ++e) {
-      if (--degree[succ_[e]] == 0) fifo.push_back(succ_[e]);
+      if (--degree[succ_[e]] == 0) order_.push_back(succ_[e]);
     }
   }
-  cyclic_ = fifo.size() != num_tasks_;
+  cyclic_ = order_.size() != num_tasks_;
   sealed_ = true;
 }
 
@@ -241,41 +242,33 @@ std::size_t TaskGraph::num_edges() {
 }
 
 void TaskGraph::run_serial(const std::function<void(std::size_t)>& body) {
-  // Deterministic Kahn order: the ready set is a FIFO seeded in index
-  // order. Failed tasks cancel their transitive dependents but the drain
-  // continues, matching the parallel path's semantics exactly.
-  std::vector<std::size_t> pending = preds_;
-  std::vector<unsigned char> cancelled(num_tasks_, 0);
-  std::vector<std::exception_ptr> errors(num_tasks_);
-  std::vector<std::size_t> fifo;
-  fifo.reserve(num_tasks_);
-  for (std::size_t t = 0; t < num_tasks_; ++t) {
-    if (pending[t] == 0) fifo.push_back(t);
-  }
-  bool any_error = false;
-  for (std::size_t head = 0; head < fifo.size(); ++head) {
-    const std::size_t t = fifo[head];
-    bool failed = cancelled[t] != 0;
+  // Walks the Kahn order seal() stored. Failed tasks cancel their
+  // transitive dependents but the drain continues, matching the parallel
+  // path's semantics exactly; the cancellation marks are allocated at the
+  // first failure.
+  std::vector<unsigned char> cancelled;
+  std::size_t first_failed = num_tasks_;
+  std::exception_ptr first_error;
+  for (std::size_t t : order_) {
+    bool failed = !cancelled.empty() && cancelled[t] != 0;
     if (!failed) {
       try {
         body(t);
       } catch (...) {
-        errors[t] = std::current_exception();
-        any_error = true;
         failed = true;
+        if (t < first_failed) {
+          first_failed = t;
+          first_error = std::current_exception();
+        }
       }
     }
+    if (!failed) continue;
+    if (cancelled.empty()) cancelled.assign(num_tasks_, 0);
     for (std::size_t e = succ_off_[t]; e < succ_off_[t + 1]; ++e) {
-      const std::size_t s = succ_[e];
-      if (failed) cancelled[s] = 1;
-      if (--pending[s] == 0) fifo.push_back(s);
+      cancelled[succ_[e]] = 1;
     }
   }
-  if (any_error) {
-    for (std::exception_ptr& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
-  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 void TaskGraph::run(int threads, std::function<void(std::size_t)> body) {

@@ -26,8 +26,9 @@
 //    is execution-order independent, so this too is deterministic.
 //  * Serial fallback: threads <= 1, a single task, or a call from inside a
 //    pool worker runs every task inline on the calling thread in
-//    deterministic Kahn order (ready set drained as an index-seeded FIFO),
-//    deadlock-free under nesting by construction.
+//    deterministic Kahn order (ready set drained as an index-seeded FIFO,
+//    computed once when the graph seals), deadlock-free under nesting by
+//    construction.
 //
 // Telemetry: task bodies book Phase::kExec on the executing lane; the
 // steal/park loop books kQueueIdle (workers) or kBarrierWait (the caller).
@@ -40,6 +41,7 @@
 #include <cstddef>
 
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -75,16 +77,24 @@ class TaskGraph {
   /// Total dependency edges after deduplication (seals the graph).
   std::size_t num_edges();
 
+  /// The tasks with an edge from `t`, deduplicated. Valid once the graph
+  /// has sealed: inside a run's task bodies and after it.
+  std::span<const std::size_t> successors(std::size_t t) const {
+    return {succ_.data() + succ_off_[t], succ_off_[t + 1] - succ_off_[t]};
+  }
+
  private:
   void seal();
   void run_serial(const std::function<void(std::size_t)>& body);
 
   std::size_t num_tasks_;
   std::vector<std::pair<std::size_t, std::size_t>> edges_;
-  // CSR successors + per-task predecessor counts, built by seal().
+  // CSR successors, per-task predecessor counts and the serial drain's
+  // Kahn order, built by seal().
   std::vector<std::size_t> succ_off_;
   std::vector<std::size_t> succ_;
   std::vector<std::size_t> preds_;
+  std::vector<std::size_t> order_;
   bool sealed_ = false;
   bool cyclic_ = false;
 };

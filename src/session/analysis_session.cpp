@@ -1,11 +1,13 @@
 #include "session/analysis_session.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "net/topo.hpp"
 #include "obs/obs.hpp"
 #include "runtime/runtime.hpp"
+#include "runtime/task_graph.hpp"
 #include "runtime/telemetry.hpp"
 #include "wave/point_store.hpp"
 #include "topk/stages/baseline_stage.hpp"
@@ -32,33 +34,31 @@ namespace {
 // immediately, small enough that idle shard workers stay lean.
 constexpr std::size_t kPoolKeepBytesPerThread = 256u << 10;
 
-// The cold-sweep dependency graph: one task per net (task index == net id),
-// with an edge u -> v for every intra-sweep read v makes of u's
-// current-sweep state. That is (a) v's driver-gate fanins — pseudo
-// propagation reads their reduced lists via sets_of — and (b) in
-// elimination mode, coupled partners at a strictly lower level, whose
-// published winner the higher-order atoms read through ho_of (same- or
-// higher-level partners read the immutable previous-sweep buffer instead,
-// so they need no edge). Duplicates (a fanin that is also a partner)
-// are deduplicated by the graph itself.
-std::unique_ptr<runtime::TaskGraph> build_sweep_graph(
-    const net::Netlist& nl, const layout::Parasitics& par,
-    const topk::stages::BaselineState& base, bool addition,
-    const std::vector<int>& level_of) {
-  auto graph = std::make_unique<runtime::TaskGraph>(nl.num_nets());
+// The sweep graph: one task per net (task index == net id) and one edge
+// u -> v per current-sweep input u of victim v (QueryContext::
+// partner_is_input states the rule). Built per query from the baseline's
+// active caps, which a what_if refresh can change. Duplicates (a fanin that
+// is also a partner) are deduplicated by the graph itself.
+runtime::TaskGraph build_sweep_graph(const QueryContext& ctx) {
+  const net::Netlist& nl = *ctx.design.nl;
+  runtime::TaskGraph graph(nl.num_nets());
   for (net::NetId v = 0; v < nl.num_nets(); ++v) {
     const net::Net& n = nl.net(v);
     if (n.driver != net::kInvalidGate) {
-      for (net::NetId u : nl.gate(n.driver).inputs) graph->add_edge(u, v);
+      for (net::NetId u : nl.gate(n.driver).inputs) graph.add_edge(u, v);
     }
-    if (!addition) {
-      for (layout::CapId cap : base.active_caps[v]) {
-        const net::NetId a = par.coupling(cap).other(v);
-        if (level_of[a] < level_of[v]) graph->add_edge(a, v);
-      }
+    for (layout::CapId cap : ctx.base->active_caps[v]) {
+      const net::NetId a = ctx.design.par->coupling(cap).other(v);
+      if (ctx.partner_is_input(a, v)) graph.add_edge(a, v);
     }
   }
   return graph;
+}
+
+/// Relaxed flag store for marks set inside sweep tasks: several tasks may
+/// mark the same reader, and nothing else is shared through the flag.
+void set_flag(std::vector<char>& flags, std::size_t i) {
+  std::atomic_ref<char>(flags[i]).store(1, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -140,8 +140,8 @@ topk::TopkResult AnalysisSession::what_if(const WhatIfEdit& edit) {
   std::vector<net::NetId> seeds;
   {
     obs::ScopedSpan stage_span("topk.stage.baseline");
-    BaselineStage::refresh(design_, opt_, iter_opt_, edit_nets, edit_caps,
-                           &base_, &seeds);
+    BaselineStage::refresh(design_, opt_, edit_nets, edit_caps, &base_,
+                           &seeds);
     if (opt_.mode == topk::Mode::kAddition && opt_.reevaluate) {
       // Addition evaluates candidate sets against the mask=none fixpoint;
       // keep a primed one warm for the re-ranking stage.
@@ -239,12 +239,9 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
   const std::uint64_t sets_before = c_sets.value();
 #if TKA_OBS_ENABLED
   // Query-scoped runtime attribution: lane deltas over this query feed the
-  // runtime.query.* gauges at the end. Batch widths go to a histogram so
-  // chunk-grain imbalance is visible per query.
+  // runtime.query.* gauges at the end.
   const std::vector<runtime::LaneCounters> lanes_before =
       runtime::lane_snapshot();
-  obs::Histogram& h_batch =
-      reg.histogram("runtime.level_batch_nets", 1.0, 1048576.0);
 #endif
 
   topk::TopkResult result;
@@ -273,15 +270,6 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
     memo_.winner_score.assign(num_nets, std::vector<double>(k + 1, -1.0));
     memo_.winner_members.assign(
         num_nets, std::vector<std::vector<layout::CapId>>(k + 1));
-    level_of_ = net::net_levels(nl);
-    levels_.clear();
-    for (net::NetId n = 0; n < num_nets; ++n) {
-      const std::size_t lv = static_cast<std::size_t>(level_of_[n]);
-      if (lv >= levels_.size()) levels_.resize(lv + 1);
-      levels_[lv].push_back(n);
-    }
-    sweep_graph_ =
-        build_sweep_graph(nl, *design_.par, base_, addition, level_of_);
     fp_none_.reset();
   } else {
     TKA_CHECK(memo_.k == k, "what_if must reuse the priming run's k");
@@ -297,51 +285,13 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
     result.reference_delay = all_rep.noiseless_delay;
   }
 
+  // Elimination's higher-order snapshots, double-buffered (QueryContext::
+  // ho_of): each sweep publishes into ho_snap while non-input partners are
+  // read from ho_prev, the previous sweep's buffer, swapped in after each
+  // drain.
   std::vector<BestSnap> ho_snap(addition ? 0 : num_nets);
-  // Cold elimination sweeps double-buffer the snapshots (QueryContext::
-  // ho_of): the task graph publishes into ho_snap (current sweep) and
-  // readers of same-or-higher-level partners see ho_prev, swapped in at
-  // each sweep boundary. Warm queries keep the single-array level-loop
-  // semantics and leave ho_prev unset.
-  std::vector<BestSnap> ho_prev(cold && !addition ? num_nets : 0);
-
-  // Change-driven dirtiness (warm queries). `need` marks victims whose
-  // enumeration inputs may have moved; it is seeded from the baseline
-  // refresh and grows while the sweep runs, sticky across cardinalities
-  // (cross-cardinality reads — own prior layer, fanin winner trails —
-  // mean a victim stays interesting once any input ever changed this
-  // query). `rebuilt` flags, per cardinality, the victims re-enumerated
-  // at sweep 0: exactly what sets_of / publish need to pick between the
-  // live list and the memoized sweep-0 snapshot. `changed_any` ensures
-  // each net's readers are dirtied at most once per query.
-  std::vector<char> need;
-  std::vector<char> changed_any;
-  std::vector<char> rebuilt;
-  std::vector<std::vector<topk::CandidateSet>> prev_final;
-  if (!cold) {
-    need.assign(num_nets, 0);
-    for (net::NetId v : *seeds) need[v] = 1;
-    changed_any.assign(num_nets, 0);
-    rebuilt.assign(num_nets, 0);
-    prev_final.resize(num_nets);
-  }
-  // A net whose rebuilt list actually differs from its memoized one dirties
-  // its one-hop readers: fanout gate outputs (pseudo propagation, balanced
-  // unions) and live coupled partners (higher-order atoms, primary
-  // envelopes). No transitive closure — if the reader's own list then
-  // comes out unchanged, the wave stops there.
-  auto mark_changed = [&](net::NetId v) {
-    if (changed_any[v]) return;
-    changed_any[v] = 1;
-    need[v] = 1;
-    for (const net::PinRef& pin : nl.net(v).fanouts) {
-      need[nl.gate(pin.gate).output] = 1;
-    }
-    for (layout::CapId cap : design_.par->couplings_of(v)) {
-      if (design_.par->coupling(cap).cap_pf <= 0.0) continue;
-      need[design_.par->coupling(cap).other(v)] = 1;
-    }
-  };
+  std::vector<BestSnap> ho_prev(addition ? 0 : num_nets);
+  const std::vector<int> levels = net::net_levels(nl);
 
   QueryContext ctx;
   ctx.design = design_;
@@ -351,13 +301,10 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
   ctx.k = k;
   ctx.addition = addition;
   ctx.base = &base_;
-  ctx.memo = &memo_;
-  ctx.dirty = cold ? nullptr : &rebuilt;
   ctx.ho_snap = &ho_snap;
-  if (cold && !addition) {
-    ctx.ho_prev = &ho_prev;
-    ctx.levels = level_of_;
-  }
+  ctx.ho_prev = &ho_prev;
+  ctx.levels = levels;
+  ctx.memo = &memo_;
   ctx.result = &result;
   const bool warm_eval = !cold && sopt_.retain_candidates;
   ctx.evaluate = [this, warm_eval](std::span<const layout::CapId> members,
@@ -369,16 +316,57 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
   ctx.c_surviving = &c_surviving;
   ctx.h_ilist = &h_ilist;
 
+  runtime::TaskGraph graph = build_sweep_graph(ctx);
   EvaluateStage evaluate(&ctx);
 
-  std::vector<net::NetId> batch;  // warm: the level's needy victims
-  std::size_t work_victims = 0;   // warm: total re-enumerations
+  // Change-driven dirtiness (warm queries). `need` marks victims whose
+  // enumeration inputs may have moved; it is seeded from the baseline
+  // refresh and grows while the sweeps run, sticky across cardinalities
+  // (cross-cardinality reads — own prior layer, fanin winner trails —
+  // mean a victim stays interesting once any input ever changed this
+  // query). `rebuilt` flags, per cardinality, the victims re-enumerated
+  // at sweep 0: exactly what sets_of / publish_one need to pick between
+  // the live list and the memoized sweep-0 snapshot.
+  std::vector<char> need;
+  std::vector<char> next_need;
+  std::vector<char> rebuilt;
+  std::vector<std::vector<topk::CandidateSet>> prev_final;
+  if (!cold) {
+    need.assign(num_nets, 0);
+    for (net::NetId v : *seeds) need[v] = 1;
+    next_need.assign(num_nets, 0);
+    rebuilt.assign(num_nets, 0);
+    prev_final.resize(num_nets);
+    ctx.dirty = &rebuilt;
+  }
+  // A net whose rebuilt list actually differs from its memoized one dirties
+  // its one-hop readers: fanout gate outputs (pseudo propagation, balanced
+  // unions) and live coupled partners (higher-order atoms, primary
+  // envelopes). A reader the net has a graph edge to — every fanout gate
+  // output, and each partner it is an input of — has not started yet and
+  // is marked for this sweep; every other reader is marked for the next
+  // one. Marks are sticky, so marking a reader again is a no-op. No
+  // transitive closure — if the reader's own list then comes out
+  // unchanged, the wave stops there. Runs inside v's own task.
+  auto mark_changed = [&](net::NetId v) {
+    for (std::size_t r : graph.successors(v)) set_flag(need, r);
+    for (layout::CapId cap : design_.par->couplings_of(v)) {
+      const layout::CouplingCap& cc = design_.par->coupling(cap);
+      if (cc.cap_pf > 0.0) set_flag(next_need, cc.other(v));
+    }
+  };
+
+  std::size_t work_victims = 0;  // warm: total re-enumerations
+  // Per-victim prune tallies, accumulated by every sweep task and reduced
+  // once after the last sweep.
+  std::vector<topk::PruneStats> net_prune(num_nets);
+  std::vector<std::size_t> net_max(num_nets, 0);
 
   // Elimination needs a second sweep per cardinality: its indirect
   // (window-narrowing) atoms reference the aggressor net's *current*-
   // cardinality winner, which only exists after the first sweep when the
-  // aggressor follows the victim in the level order. Lists deduplicate, so
-  // the second sweep is a pure refinement.
+  // aggressor is not an input of the victim. Lists deduplicate, so the
+  // second sweep is a pure refinement.
   const int sweeps = addition ? 1 : 2;
   for (std::size_t i = 1; i <= k; ++i) {
     const std::int64_t card_start_ns = obs::now_ns();
@@ -393,63 +381,37 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
     for (BestSnap& s : ho_prev) s.valid = false;
     if (!cold) rebuilt.assign(num_nets, 0);
 
-    // Cold sweeps run on the dependency-counted task graph: each victim is
-    // one task (generate + reduce + publish fused), released the moment its
-    // fanins — and, in elimination, its lower-level coupled partners — have
-    // completed, so independent subtrees overlap across levels instead of
-    // barrier-syncing each one. Every write lands in the victim's own slot
-    // and all reductions run below on the calling thread in net-id order
-    // (sums and maxes, order-independent besides), so the result is
-    // bit-identical for every thread count and to the level loop
+    // Every sweep runs on the dependency-counted task graph: each victim is
+    // one task, released the moment its inputs have completed, so
+    // independent subtrees overlap across levels. A cold task generates,
+    // reduces and publishes; a warm task does so only for a needy victim,
+    // bracketed by the memo save/restore and the compare that routes
+    // dirtiness, and otherwise just publishes the memoized winner. Every
+    // write lands in the victim's own slot (the need marks are relaxed
+    // flags) and all reductions run on the calling thread in net-id order,
+    // so the result is bit-identical for every thread count
     // (docs/SCHEDULER.md has the full determinism argument).
-    //
-    // Warm queries keep the level loop: their change-driven `need` flags
-    // legitimately grow *during* the sweep and are read at level-processing
-    // time, a scheduling-order dependence the task graph has no edges for.
     for (int sweep = 0; sweep < sweeps; ++sweep) {
-      if (cold) {
-        obs::ScopedSpan sweep_span("topk.stage.sweep_graph");
-        c_sweep_graphs.add(1);
-        std::vector<topk::PruneStats> net_prune(num_nets);
-        std::vector<std::size_t> net_max(num_nets, 0);
-        sweep_graph_->run(threads, [&](std::size_t t) {
-          const net::NetId v = static_cast<net::NetId>(t);
-          CandidateStage::generate(ctx, v, i, sweep);
-          PruneStage::reduce(ctx, v, i, &net_prune[t], &net_max[t]);
-          if (!addition) PruneStage::publish_one(ctx, v, i, sweep);
-        });
-        for (std::size_t t = 0; t < num_nets; ++t) {
-          result.stats.prune.considered += net_prune[t].considered;
-          result.stats.prune.removed_dominated +=
-              net_prune[t].removed_dominated;
-          result.stats.prune.removed_beam += net_prune[t].removed_beam;
-          result.stats.max_list_size =
-              std::max(result.stats.max_list_size, net_max[t]);
-        }
-        // The finished sweep becomes the "previous" buffer the next sweep's
-        // same-or-higher-level higher-order reads see (ho_of).
-        if (!addition) ho_snap.swap(ho_prev);
-        continue;
-      }
-      for (const std::vector<net::NetId>& level : levels_) {
-        // The batch is filtered at level time: need flags set by earlier
-        // levels of this very sweep are already visible here.
-        batch.clear();
-        for (net::NetId v : level) {
-          if (need[v]) batch.push_back(v);
-        }
-        work_victims += batch.size();
-        for (net::NetId v : batch) {
-          topk::IList& live = memo_.lists[i - 1][v];
+      obs::ScopedSpan sweep_span("topk.stage.sweep_graph");
+      c_sweep_graphs.add(1);
+      graph.run(threads, [&](std::size_t t) {
+        const net::NetId v = static_cast<net::NetId>(t);
+        topk::IList& live = memo_.lists[i - 1][v];
+        if (!cold) {
+          if (!std::atomic_ref<char>(need[v]).load(std::memory_order_relaxed)) {
+            if (!addition) PruneStage::publish_one(ctx, v, i, sweep);
+            return;
+          }
           if (sweep == 0) {
-            // Keep the memoized final list for the post-sweep compare;
-            // generate is about to clear and rebuild it.
+            // Keep the memoized final list for the compare below; generate
+            // is about to clear and rebuild it.
             prev_final[v].assign(live.sets().begin(), live.sets().end());
             rebuilt[v] = 1;
           } else if (!rebuilt[v]) {
-            // Dirtied mid-cardinality by a later-level change: its own
-            // sweep-0 inputs were clean, so the memoized sweep-0 snapshot
-            // is exactly the list a cold run would enter sweep 1 with.
+            // Dirtied mid-cardinality by a change after its sweep-0 task:
+            // its own sweep-0 inputs were clean, so the memoized sweep-0
+            // snapshot is exactly the list a cold run would enter sweep 1
+            // with.
             prev_final[v].assign(live.sets().begin(), live.sets().end());
             live.clear();
             for (const topk::CandidateSet& s : memo_.sweep0[i - 1][v]) {
@@ -457,48 +419,29 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
             }
           }
         }
-        if (!batch.empty()) {
-#if TKA_OBS_ENABLED
-          h_batch.observe(static_cast<double>(batch.size()));
-#endif
-          {
-            obs::ScopedSpan gen_span("topk.stage.candidate");
-            runtime::parallel_for(threads, 0, batch.size(), [&](std::size_t bi) {
-              CandidateStage::generate(ctx, batch[bi], i, sweep);
-            });
-          }
-          std::vector<topk::PruneStats> batch_prune(batch.size());
-          std::vector<std::size_t> batch_max(batch.size(), 0);
-          {
-            obs::ScopedSpan prune_span("topk.stage.prune");
-            runtime::parallel_for(threads, 0, batch.size(), [&](std::size_t bi) {
-              PruneStage::reduce(ctx, batch[bi], i, &batch_prune[bi],
-                                 &batch_max[bi]);
-            });
-          }
-          // Deterministic reductions on the calling thread, in index order.
-          for (std::size_t bi = 0; bi < batch.size(); ++bi) {
-            result.stats.prune.considered += batch_prune[bi].considered;
-            result.stats.prune.removed_dominated +=
-                batch_prune[bi].removed_dominated;
-            result.stats.prune.removed_beam += batch_prune[bi].removed_beam;
-            result.stats.max_list_size =
-                std::max(result.stats.max_list_size, batch_max[bi]);
-          }
-          // Compare each rebuilt list against what this query would have
+        CandidateStage::generate(ctx, v, i, sweep);
+        PruneStage::reduce(ctx, v, i, &net_prune[t], &net_max[t]);
+        if (!cold) {
+          // Compare the rebuilt list against what this query would have
           // read had the victim stayed clean — the final sweep against the
           // memoized final list, elimination sweep 0 against the old
-          // sweep-0 snapshot (publish overwrites it right below).
-          const bool final_sweep = (sweep == sweeps - 1);
-          for (net::NetId v : batch) {
-            const std::span<const topk::CandidateSet> live =
-                memo_.lists[i - 1][v].sets();
-            const std::vector<topk::CandidateSet>& prev =
-                final_sweep ? prev_final[v] : memo_.sweep0[i - 1][v];
-            if (!lists_equal(live, prev)) mark_changed(v);
-          }
+          // sweep-0 snapshot (publish_one overwrites it right below).
+          const std::vector<topk::CandidateSet>& prev =
+              sweep == sweeps - 1 ? prev_final[v] : memo_.sweep0[i - 1][v];
+          if (!lists_equal(live.sets(), prev)) mark_changed(v);
         }
-        if (!addition) PruneStage::publish(ctx, level, i, sweep);
+        if (!addition) PruneStage::publish_one(ctx, v, i, sweep);
+      });
+      // The finished sweep becomes the "previous" buffer the next sweep's
+      // non-input higher-order reads see (ho_of).
+      if (!addition) ho_snap.swap(ho_prev);
+      if (!cold) {
+        // A task reads its need flag when it starts, after every mark an
+        // input can set: the flags now name exactly the needy victims.
+        for (net::NetId v = 0; v < num_nets; ++v) {
+          work_victims += need[v] != 0;
+          need[v] |= next_need[v];
+        }
       }
     }
 
@@ -524,6 +467,12 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
     }
   }
 
+  for (std::size_t t = 0; t < num_nets; ++t) {
+    result.stats.prune.considered += net_prune[t].considered;
+    result.stats.prune.removed_dominated += net_prune[t].removed_dominated;
+    result.stats.prune.removed_beam += net_prune[t].removed_beam;
+    result.stats.max_list_size = std::max(result.stats.max_list_size, net_max[t]);
+  }
   result.members = result.set_by_k.back();
   result.estimated_delay = result.estimated_delay_by_k.back();
   result.evaluated_delay = result.estimated_delay;

@@ -11,11 +11,12 @@
 //   what_if(edit)  — applies a repair edit to the session's design copy,
 //                    re-converges the baseline incrementally, and
 //                    re-enumerates only the victims whose inputs actually
-//                    changed. Dirtiness spreads change-driven with the
-//                    sweep: a rebuilt list is compared against its memoized
-//                    predecessor, and only a real difference dirties its
-//                    readers. The result is bit-identical to a cold run()
-//                    on the edited design, at every thread count.
+//                    changed. Both run the same per-victim task graph;
+//                    dirtiness spreads change-driven along it: a rebuilt
+//                    list is compared against its memoized predecessor,
+//                    and only a real difference dirties its readers. The
+//                    result is bit-identical to a cold run() on the edited
+//                    design, at every thread count.
 #pragma once
 
 #include <memory>
@@ -26,7 +27,6 @@
 #include "net/netlist.hpp"
 #include "noise/coupling_calc.hpp"
 #include "obs/memory.hpp"
-#include "runtime/task_graph.hpp"
 #include "session/what_if.hpp"
 #include "sta/delay_model.hpp"
 #include "topk/stages/stage_context.hpp"
@@ -91,19 +91,6 @@ class AnalysisSession {
 
   topk::stages::BaselineState base_;
   topk::stages::SweepMemo memo_;
-  /// Logic level per net (net::net_levels) and the nets of each level in
-  /// ascending id order, rebuilt on every cold prime. Cold sweeps read the
-  /// map (sweep-graph edges, QueryContext::levels); warm what_if sweeps
-  /// walk the levels in order.
-  std::vector<int> level_of_;
-  std::vector<std::vector<net::NetId>> levels_;
-  /// Dependency graph over nets for cold sweeps: fanin edges (pseudo
-  /// propagation) plus, in elimination mode, lower-level coupled partners
-  /// (current-sweep higher-order reads). Rebuilt with the level map on
-  /// every cold prime — it depends on the query mode and the baseline's
-  /// active caps. Warm what_if queries walk the levels instead: their
-  /// need-flag growth depends on level order (docs/ARCHITECTURE.md).
-  std::unique_ptr<runtime::TaskGraph> sweep_graph_;
   /// Approximate footprint of the memoized enumeration state, refreshed at
   /// the end of every query and published as mem.* gauges. Contributions
   /// auto-release on session teardown (the TrackedBytes balance invariant).

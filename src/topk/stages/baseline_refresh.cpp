@@ -14,12 +14,10 @@
 namespace tka::topk::stages {
 
 void BaselineStage::refresh(const DesignRef& design, const TopkOptions& opt,
-                            const noise::IterativeOptions& iter_opt,
                             std::span<const net::NetId> edit_nets,
                             std::span<const layout::CapId> edit_caps,
                             BaselineState* state,
                             std::vector<net::NetId>* seeds) {
-  (void)iter_opt;
   TKA_CHECK(state->fixpoint && state->fixpoint->primed(),
             "BaselineStage::refresh requires a primed state");
   const net::Netlist& nl = *design.nl;
@@ -83,7 +81,7 @@ void BaselineStage::refresh(const DesignRef& design, const TopkOptions& opt,
   for (net::NetId v : region) {
     build_active_caps(design, opt, state, v, &caps);
     state->active_caps[v] = caps;
-    derive_victim(design, opt, state, v);
+    derive_victim(opt, state, v);
     state->local_ub[v] =
         state->analyzer->delay_noise_upper_bound(v, *state->builder, mask_all);
   }

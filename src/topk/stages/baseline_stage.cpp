@@ -52,8 +52,7 @@ void BaselineStage::truncate_active(const DesignRef& design,
   std::sort(caps->begin(), caps->end());
 }
 
-void BaselineStage::derive_victim(const DesignRef& design,
-                                  const TopkOptions& opt, BaselineState* state,
+void BaselineStage::derive_victim(const TopkOptions& opt, BaselineState* state,
                                   net::NetId v) {
   const sta::WindowTable& windows = *state->windows;
   const noise::NoiseReport& all_rep = state->fixpoint->report();
@@ -152,16 +151,8 @@ void BaselineStage::prime(const DesignRef& design, const TopkOptions& opt,
         nl, par, *state->analyzer, *state->builder, opt.filter, opt.threads);
   }
   state->active_caps.assign(num_nets, {});
-  for (layout::CapId id = 0; id < num_caps; ++id) {
-    const layout::CouplingCap& cc = par.coupling(id);
-    if (cc.cap_pf <= 0.0) continue;
-    for (const net::NetId v : {cc.net_a, cc.net_b}) {
-      if (state->filter && state->filter->is_false(v, id)) continue;
-      state->active_caps[v].push_back(id);
-    }
-  }
-  if (opt.max_primary_per_victim > 0) {
-    for (auto& caps : state->active_caps) truncate_active(design, opt, &caps);
+  for (net::NetId v = 0; v < num_nets; ++v) {
+    build_active_caps(design, opt, state, v, &state->active_caps[v]);
   }
 
   // Victim transitions and (elimination) total envelopes.
@@ -170,7 +161,7 @@ void BaselineStage::prime(const DesignRef& design, const TopkOptions& opt,
   state->total_env.assign(num_nets, {});
   state->dn_total.assign(num_nets, 0.0);
   runtime::parallel_for(opt.threads, 0, num_nets, [&](std::size_t v) {
-    derive_victim(design, opt, state, v);
+    derive_victim(opt, state, v);
   });
 
   // Dominance intervals with propagated upper bounds.

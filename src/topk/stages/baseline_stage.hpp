@@ -37,15 +37,14 @@ class BaselineStage {
   /// every net whose enumeration inputs changed (the session closes this
   /// set over fanout and coupling edges). Requires a primed state.
   static void refresh(const DesignRef& design, const TopkOptions& opt,
-                      const noise::IterativeOptions& iter_opt,
                       std::span<const net::NetId> edit_nets,
                       std::span<const layout::CapId> edit_caps,
                       BaselineState* state, std::vector<net::NetId>* seeds);
 
  private:
   // Shared by prime (baseline_stage.cpp) and refresh (baseline_refresh.cpp).
-  static void derive_victim(const DesignRef& design, const TopkOptions& opt,
-                            BaselineState* state, net::NetId v);
+  static void derive_victim(const TopkOptions& opt, BaselineState* state,
+                            net::NetId v);
   static void build_active_caps(const DesignRef& design, const TopkOptions& opt,
                                 BaselineState* state, net::NetId v,
                                 std::vector<layout::CapId>* out);

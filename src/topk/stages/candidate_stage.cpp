@@ -132,9 +132,9 @@ void CandidateStage::generate(const QueryContext& ctx, net::NetId v,
       ctx.c_sets->add(1);
       list.try_add(std::move(cand));
     };
-    // Fanins sit at strictly lower levels, so their current-cardinality
-    // lists are complete by this level's barrier (clean fanins expose
-    // their memoized state through sets_of).
+    // Fanins are inputs, so their current-cardinality lists are complete
+    // when this task starts (clean fanins expose their memoized state
+    // through sets_of).
     for (std::size_t j = 0; j < g.inputs.size(); ++j) {
       const net::NetId u = g.inputs[j];
       const std::span<const CandidateSet> us = ctx.sets_of(u, i, sweep);
@@ -243,9 +243,9 @@ void CandidateStage::generate(const QueryContext& ctx, net::NetId v,
         // Elimination: removing the aggressor's own worst i-set narrows the
         // aggressor window; the removed envelope is the trim of this cap's
         // envelope (the cap itself stays). Reads the aggressor's published
-        // snapshot (PruneStage::publish/publish_one): the current sweep's
-        // when `a`'s level precedes `v`'s, the previous sweep's otherwise
-        // (see QueryContext::ho_of).
+        // snapshot (PruneStage::publish_one): the current sweep's when `a`'s
+        // level precedes `v`'s, the previous sweep's otherwise (see
+        // QueryContext::ho_of).
         const BestSnap& s = ctx.ho_of(a, v);
         if (!s.valid || s.score <= kShiftEps) continue;
         if (std::binary_search(s.members.begin(), s.members.end(), cap)) {

@@ -15,9 +15,10 @@ namespace tka::topk::stages {
 class CandidateStage {
  public:
   /// Appends this (victim, cardinality, sweep)'s candidates to the victim's
-  /// live list (cleared first on sweep 0). Safe to run for a whole level in
-  /// parallel: all cross-victim reads are of completed lower levels or of
-  /// barrier-published snapshots, every write lands in the victim's slot.
+  /// live list (cleared first on sweep 0). Runs inside the victim's sweep
+  /// task: every current-sweep read is of an input whose task has finished
+  /// (QueryContext::partner_is_input), every other cross-victim read is of
+  /// a completed sweep, and every write lands in the victim's slot.
   static void generate(const QueryContext& ctx, net::NetId v, std::size_t i,
                        int sweep);
 

@@ -52,10 +52,4 @@ void PruneStage::publish_one(const QueryContext& ctx, net::NetId v,
   s.members = best->members;
 }
 
-void PruneStage::publish(const QueryContext& ctx,
-                         std::span<const net::NetId> level, std::size_t i,
-                         int sweep) {
-  for (net::NetId v : level) publish_one(ctx, v, i, sweep);
-}
-
 }  // namespace tka::topk::stages

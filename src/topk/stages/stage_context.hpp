@@ -6,7 +6,7 @@
 //   CandidateStage — primary extensions, pseudo propagation and the
 //                    higher-order widening atoms for one victim.
 //   PruneStage     — dominance + beam reduction, winner recording and the
-//                    level-barrier snapshot publication.
+//                    higher-order snapshot publication.
 //   EvaluateStage  — sink selection per cardinality and the final exact
 //                    re-evaluation / re-ranking.
 //
@@ -94,8 +94,8 @@ struct SweepMemo {
   std::vector<std::vector<std::vector<layout::CapId>>> winner_members;
 };
 
-/// Barrier-published per-net winner snapshot (elimination higher-order
-/// reads). Reset per cardinality, published per level.
+/// Per-net winner snapshot (elimination higher-order reads). Reset per
+/// cardinality, published by each victim's sweep task.
 struct BestSnap {
   bool valid = false;
   double score = -1.0;
@@ -124,19 +124,16 @@ struct QueryContext {
   BaselineState* base = nullptr;
   SweepMemo* memo = nullptr;
   /// Warm queries point this at the session's per-cardinality "rebuilt at
-  /// sweep 0" table (reset each cardinality, set when a victim enters the
-  /// sweep-0 batch); nullptr = cold query (every victim rebuilt).
+  /// sweep 0" table (reset each cardinality, set when a needy victim's
+  /// sweep-0 task starts); nullptr = cold query (every victim rebuilt).
   const std::vector<char>* dirty = nullptr;
-  std::vector<BestSnap>* ho_snap = nullptr;  // elimination only
-  /// Task-graph sweeps (cold queries) double-buffer the higher-order
-  /// snapshots: ho_snap is the *current* sweep's buffer (written by each
-  /// victim's fused publish), ho_prev the completed previous sweep's
-  /// (immutable during the sweep, all-invalid at sweep 0). nullptr on the
-  /// level-loop path, where the single ho_snap array carries both roles
-  /// positionally (a same-or-higher-level entry simply hasn't been
-  /// overwritten yet). `levels` is the session's net -> level map
-  /// (net::net_levels).
+  /// Elimination only: the higher-order snapshots, double-buffered. ho_snap
+  /// is the *current* sweep's buffer (written by each victim's publish),
+  /// ho_prev the completed previous sweep's (immutable during the sweep,
+  /// all-invalid at sweep 0).
+  std::vector<BestSnap>* ho_snap = nullptr;
   const std::vector<BestSnap>* ho_prev = nullptr;
+  /// Net -> logic level (net::net_levels), for the input rule below.
   std::span<const int> levels;
   TopkResult* result = nullptr;
 
@@ -172,16 +169,23 @@ struct QueryContext {
     return memo->lists[card - 1][u].sets();
   }
 
-  /// The higher-order snapshot of aggressor `a` as victim `v` sees it.
-  /// Level-barrier semantics, independent of scheduler: a partner at a
-  /// strictly lower level was published *this* sweep; a partner at the same
-  /// or a higher level still carries the *previous* sweep's publication
-  /// (invalid during sweep 0). The task-graph path realizes this with the
-  /// explicit cur/prev pair — an a -> v dependency edge exists exactly for
-  /// the lower-level partners, so cur[a] is complete when read.
+  /// The one input rule. Within a sweep, victim `v` reads the current-sweep
+  /// state of its driver-gate fanins (pseudo propagation, sets_of) and, in
+  /// elimination mode, of each active coupled partner at a strictly lower
+  /// level (higher-order atoms, ho_of); this tests the partner half. Every
+  /// other cross-victim read is of a completed sweep or cardinality. The
+  /// session's sweep graph has one edge per input, so an input's task has
+  /// finished before any task that reads it starts.
+  bool partner_is_input(net::NetId a, net::NetId v) const {
+    return !addition && levels[a] < levels[v];
+  }
+
+  /// The higher-order snapshot of aggressor `a` as victim `v` sees it: the
+  /// current sweep's publication for an input partner (its a -> v edge
+  /// makes it complete), the previous sweep's for any other partner
+  /// (invalid during sweep 0).
   const BestSnap& ho_of(net::NetId a, net::NetId v) const {
-    if (ho_prev != nullptr && levels[a] >= levels[v]) return (*ho_prev)[a];
-    return (*ho_snap)[a];
+    return partner_is_input(a, v) ? (*ho_snap)[a] : (*ho_prev)[a];
   }
 };
 

@@ -5,6 +5,7 @@
 // cone.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <vector>
@@ -34,7 +35,9 @@ Fixture repair_fixture() {
   return fx;
 }
 
-topk::TopkOptions options(const Fixture& fx, int k, topk::Mode mode,
+// Options over a test fixture or a generated circuit.
+template <class Design>
+topk::TopkOptions options(const Design& fx, int k, topk::Mode mode,
                           int threads = 0) {
   topk::TopkOptions opt;
   opt.k = k;
@@ -44,8 +47,9 @@ topk::TopkOptions options(const Fixture& fx, int k, topk::Mode mode,
   return opt;
 }
 
-// Applies the session edit's equivalent directly to a fixture.
-void apply_to(Fixture& fx, const WhatIfEdit& edit) {
+// Applies the session edit's equivalent directly to a design.
+template <class Design>
+void apply_to(Design& fx, const WhatIfEdit& edit) {
   for (layout::CapId cap : edit.zero_couplings) fx.parasitics.zero_coupling(cap);
   for (layout::CapId cap : edit.shield_couplings) {
     fx.parasitics.shield_coupling(cap);
@@ -56,7 +60,8 @@ void apply_to(Fixture& fx, const WhatIfEdit& edit) {
 }
 
 // A one-shot run: a fresh session with the default (rolling) memory.
-topk::TopkResult cold_reference(const Fixture& fx,
+template <class Design>
+topk::TopkResult cold_reference(const Design& fx,
                                 const topk::TopkOptions& opt) {
   AnalysisSession s(*fx.netlist, fx.parasitics, {});
   return s.run(opt);
@@ -144,13 +149,68 @@ TEST(Session, SequentialEditsStayIdentical) {
   }
 }
 
-// Forces one index per parallel_for chunk (TKA_TASK_GRAIN=1), so the warm
-// level batches run under maximal steal traffic, as test_task_graph's
-// GrainGuard does for cold sweeps.
+// Forces one index per parallel_for chunk (TKA_TASK_GRAIN=1), so the
+// parallel_for loops inside a query (the baseline's per-victim passes, the
+// fixpoint) run under maximal steal traffic, as test_task_graph's
+// GrainGuard does for task graphs. The sweep graph is one task per victim
+// at every grain, so the guard does not shape the warm sweep itself.
 struct GrainGuard {
   GrainGuard() { setenv("TKA_TASK_GRAIN", "1", 1); }
   ~GrainGuard() { unsetenv("TKA_TASK_GRAIN"); }
 };
+
+// The 40-gate generated circuit. Zeroing its cold run's top member
+// activates couplings to lower-level partners, so warm elimination sweeps
+// on it take partner edges and same-sweep partner marks.
+gen::GeneratorParams generated_params() {
+  gen::GeneratorParams params;
+  params.name = "session_gen";
+  params.num_gates = 40;
+  params.target_couplings = 16;
+  params.seed = 7;
+  return params;
+}
+
+// Deterministic work a warm query must repeat exactly at every thread count
+// (none to read when observability is compiled out).
+std::vector<std::uint64_t> warm_work_counters() {
+  std::vector<std::uint64_t> values;
+#ifndef TKA_OBS_DISABLED
+  for (const char* name :
+       {"topk.sets_generated", "topk.surviving_sets", "pwl.merge_points"}) {
+    values.push_back(obs::registry().counter(name).value());
+  }
+#endif
+  return values;
+}
+
+// At threads 1, 2 and 8, a session's what_if(edit) after a cold run on
+// `design` must equal a one-shot run on `edited` (the design with the edit
+// applied), with the same warm work counters at every thread count.
+// Sessions copy the design, so one instance serves every session.
+template <class Design>
+void expect_warm_identical_across_threads(const Design& design,
+                                          const Design& edited,
+                                          const WhatIfEdit& edit,
+                                          topk::Mode mode) {
+  const topk::TopkResult reference =
+      cold_reference(edited, options(edited, 2, mode, 1));
+  std::vector<std::uint64_t> serial_work;
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE(threads);
+    AnalysisSession s(*design.netlist, design.parasitics, {}, kRetain);
+    s.run(options(design, 2, mode, threads));
+    const std::vector<std::uint64_t> before = warm_work_counters();
+    expect_identical(s.what_if(edit), reference);
+    std::vector<std::uint64_t> work = warm_work_counters();
+    for (std::size_t c = 0; c < work.size(); ++c) work[c] -= before[c];
+    if (threads == 1) {
+      serial_work = work;
+    } else {
+      EXPECT_EQ(work, serial_work);
+    }
+  }
+}
 
 TEST(Session, WhatIfIdenticalAcrossThreadCounts) {
   for (bool steal_stress : {false, true}) {
@@ -160,27 +220,24 @@ TEST(Session, WhatIfIdenticalAcrossThreadCounts) {
          {topk::Mode::kAddition, topk::Mode::kElimination}) {
       WhatIfEdit edit;
       edit.zero_couplings = {0};
-      Fixture edited = repair_fixture();
-      apply_to(edited, edit);
-      const topk::TopkResult reference =
-          cold_reference(edited, options(edited, 2, mode, 1));
+      const Fixture fx = repair_fixture();
+      Fixture fx_edited = repair_fixture();
+      apply_to(fx_edited, edit);
+      expect_warm_identical_across_threads(fx, fx_edited, edit, mode);
 
-      for (int threads : {1, 2, 8}) {
-        Fixture fx = repair_fixture();
-        AnalysisSession s(*fx.netlist, fx.parasitics, {}, kRetain);
-        s.run(options(fx, 2, mode, threads));
-        expect_identical(s.what_if(edit), reference);
-      }
+      const gen::GeneratedCircuit gc = gen::generate_circuit(generated_params());
+      const topk::TopkResult cold = cold_reference(gc, options(gc, 2, mode, 1));
+      ASSERT_FALSE(cold.members.empty());
+      edit.zero_couplings = {cold.members.front()};
+      gen::GeneratedCircuit gc_edited = gen::generate_circuit(generated_params());
+      apply_to(gc_edited, edit);
+      expect_warm_identical_across_threads(gc, gc_edited, edit, mode);
     }
   }
 }
 
 TEST(Session, WhatIfOnGeneratedCircuitMatchesColdRun) {
-  gen::GeneratorParams params;
-  params.name = "session_gen";
-  params.num_gates = 40;
-  params.target_couplings = 16;
-  params.seed = 7;
+  const gen::GeneratorParams params = generated_params();
   for (topk::Mode mode : {topk::Mode::kAddition, topk::Mode::kElimination}) {
     gen::GeneratedCircuit a = gen::generate_circuit(params);
     topk::TopkOptions opt;

@@ -361,8 +361,12 @@ TEST_P(DominanceRandom, MatchesDenseCheck) {
       }
     }
     // The analytic check may be stricter between samples, never looser.
-    if (dominates(a, b, iv, 1e-9)) EXPECT_TRUE(dense_ab);
-    if (!dense_ab) EXPECT_FALSE(dominates(a, b, iv, 1e-9));
+    if (dominates(a, b, iv, 1e-9)) {
+      EXPECT_TRUE(dense_ab);
+    }
+    if (!dense_ab) {
+      EXPECT_FALSE(dominates(a, b, iv, 1e-9));
+    }
   }
 }
 
