@@ -10,6 +10,7 @@
 #include "obs/signal_flush.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/telemetry.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/string_util.hpp"
 #include "util/timer.hpp"
@@ -17,6 +18,8 @@
 
 namespace tka::bench {
 namespace {
+
+using util::json::escape;
 
 // The live harness, for active_scale(). A bench binary constructs exactly
 // one Harness at the top of main, so plain globals suffice.
@@ -55,27 +58,6 @@ bool parse_int(const char* s, int* out) {
   if (end == nullptr || *end != '\0') return false;
   *out = static_cast<int>(v);
   return true;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += str::format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string num(double v) { return str::format("%.9g", v); }
@@ -309,7 +291,7 @@ std::string render_bench_json(const HarnessConfig& config,
   std::ostringstream out;
   out << "{\n";
   out << "  \"schema_version\": " << kBenchSchemaVersion << ",\n";
-  out << "  \"suite\": \"" << json_escape(config.suite) << "\",\n";
+  out << "  \"suite\": \"" << escape(config.suite) << "\",\n";
   out << "  \"config\": {\n";
   out << "    \"smoke\": " << (config.smoke ? "true" : "false") << ",\n";
   out << "    \"scale\": " << config.scale << ",\n";
@@ -324,7 +306,7 @@ std::string render_bench_json(const HarnessConfig& config,
     out << (first_case ? "\n" : ",\n");
     first_case = false;
     out << "    {\n";
-    out << "      \"name\": \"" << json_escape(r.name) << "\",\n";
+    out << "      \"name\": \"" << escape(r.name) << "\",\n";
     out << "      \"time_s\": {\"reps\": " << r.time.reps
         << ", \"median\": " << num(r.time.median) << ", \"p10\": "
         << num(r.time.p10) << ", \"p90\": " << num(r.time.p90)
@@ -333,19 +315,19 @@ std::string render_bench_json(const HarnessConfig& config,
     out << "      \"values\": {";
     bool first = true;
     for (const auto& [name, v] : r.values) {
-      out << (first ? "" : ", ") << "\"" << json_escape(name) << "\": " << num(v);
+      out << (first ? "" : ", ") << "\"" << escape(name) << "\": " << num(v);
       first = false;
     }
     out << "},\n      \"telemetry\": {";
     first = true;
     for (const auto& [name, v] : r.telemetry) {
-      out << (first ? "" : ", ") << "\"" << json_escape(name) << "\": " << num(v);
+      out << (first ? "" : ", ") << "\"" << escape(name) << "\": " << num(v);
       first = false;
     }
     out << "},\n      \"counters\": {";
     first = true;
     for (const auto& [name, v] : r.counters) {
-      out << (first ? "" : ", ") << "\"" << json_escape(name) << "\": " << v;
+      out << (first ? "" : ", ") << "\"" << escape(name) << "\": " << v;
       first = false;
     }
     out << "},\n      \"memory\": {\"peak_rss_bytes\": " << r.peak_rss_bytes

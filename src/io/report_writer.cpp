@@ -3,30 +3,12 @@
 #include <cstdio>
 #include <ostream>
 
+#include "util/json.hpp"
 #include "util/string_util.hpp"
 
 namespace tka::io {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += str::format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using util::json::escape;
 
 namespace {
 
@@ -38,7 +20,7 @@ void write_noise_report_json(std::ostream& out, const net::Netlist& nl,
                              const noise::NoiseReport& report,
                              bool include_quiet) {
   out << "{\n";
-  out << "  \"design\": \"" << json_escape(nl.name()) << "\",\n";
+  out << "  \"design\": \"" << escape(nl.name()) << "\",\n";
   out << "  \"noiseless_delay_ns\": " << num(report.noiseless_delay) << ",\n";
   out << "  \"noisy_delay_ns\": " << num(report.noisy_delay) << ",\n";
   out << "  \"iterations\": " << report.iterations << ",\n";
@@ -49,7 +31,7 @@ void write_noise_report_json(std::ostream& out, const net::Netlist& nl,
     if (!include_quiet && report.delay_noise[n] <= 0.0) continue;
     out << (first ? "\n" : ",\n");
     first = false;
-    out << "    {\"name\": \"" << json_escape(nl.net(n).name) << "\", "
+    out << "    {\"name\": \"" << escape(nl.net(n).name) << "\", "
         << "\"eat\": " << num(report.noisy_windows[n].eat) << ", "
         << "\"lat\": " << num(report.noisy_windows[n].lat) << ", "
         << "\"delay_noise\": " << num(report.delay_noise[n]) << "}";
@@ -61,7 +43,7 @@ void write_topk_result_json(std::ostream& out, const net::Netlist& nl,
                             const layout::Parasitics& par,
                             const topk::TopkResult& result, int k) {
   out << "{\n";
-  out << "  \"design\": \"" << json_escape(nl.name()) << "\",\n";
+  out << "  \"design\": \"" << escape(nl.name()) << "\",\n";
   out << "  \"mode\": \""
       << (result.mode == topk::Mode::kAddition ? "addition" : "elimination")
       << "\",\n";
@@ -73,8 +55,8 @@ void write_topk_result_json(std::ostream& out, const net::Netlist& nl,
   for (size_t i = 0; i < result.members.size(); ++i) {
     const layout::CouplingCap& cc = par.coupling(result.members[i]);
     out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"net_a\": \"" << json_escape(nl.net(cc.net_a).name) << "\", "
-        << "\"net_b\": \"" << json_escape(nl.net(cc.net_b).name) << "\", "
+    out << "    {\"net_a\": \"" << escape(nl.net(cc.net_a).name) << "\", "
+        << "\"net_b\": \"" << escape(nl.net(cc.net_b).name) << "\", "
         << "\"cap_pf\": " << num(cc.cap_pf) << "}";
   }
   out << "\n  ],\n";

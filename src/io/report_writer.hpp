@@ -4,7 +4,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "noise/iterative.hpp"
 #include "topk/topk_engine.hpp"
@@ -39,9 +38,5 @@ void write_topk_result_json(std::ostream& out, const net::Netlist& nl,
 /// CSV with header "k,estimated_delay_ns,runtime_s" — one row per
 /// cardinality of the engine trail (for plotting Figure-10 style curves).
 void write_topk_trail_csv(std::ostream& out, const topk::TopkResult& result);
-
-/// Escapes a string for embedding in JSON (quotes, backslashes, control
-/// characters).
-std::string json_escape(const std::string& s);
 
 }  // namespace tka::io

@@ -47,6 +47,12 @@ struct CellType {
   double output_cap_pf = 0.002;  ///< driver self-loading
 };
 
+/// True if `to` may replace `from` on a gate: the same function and pin
+/// count, so only the drive changes.
+inline bool is_drive_variant(const CellType& from, const CellType& to) {
+  return from.func == to.func && from.num_inputs == to.num_inputs;
+}
+
 /// Immutable collection of cell types, addressed by index.
 class CellLibrary {
  public:

@@ -53,7 +53,7 @@ void Netlist::resize_gate(GateId gate, size_t cell_index) {
   TKA_CHECK(gate < gates_.size(), "resize_gate: unknown gate");
   const CellType& from = library_->cell(gates_[gate].cell_index);
   const CellType& to = library_->cell(cell_index);
-  TKA_CHECK(from.func == to.func && from.num_inputs == to.num_inputs,
+  TKA_CHECK(is_drive_variant(from, to),
             "resize_gate: cell " + to.name + " is not a drive variant of " +
                 from.name);
   gates_.mut(gate).cell_index = cell_index;

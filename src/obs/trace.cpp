@@ -3,6 +3,7 @@
 #include <ostream>
 
 #include "obs/clock.hpp"
+#include "util/json.hpp"
 #include "util/string_util.hpp"
 
 #if TKA_OBS_ENABLED
@@ -11,32 +12,8 @@
 #include <map>
 
 namespace tka::obs {
-namespace {
 
-// JSON string escaping, local to avoid a dependency on tka_io (which sits
-// above this layer).
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += str::format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
+using util::json::escape;
 
 // Per-thread span storage. Each recording thread owns one; the tracer
 // keeps a shared_ptr so the buffer (and its recorded spans) outlives the

@@ -1,8 +1,9 @@
 #include "server/protocol.hpp"
 
 #include <cmath>
+#include <limits>
 
-#include "io/report_writer.hpp"
+#include "util/json.hpp"
 #include "util/string_util.hpp"
 
 namespace tka::server {
@@ -17,16 +18,31 @@ std::string num17(double v) {
   return str::format("%.17g", v);
 }
 
-bool get_u64(const Value& obj, std::string_view key, std::uint64_t* out) {
-  const Value* v = obj.find(key);
-  if (v == nullptr || !v->is_number() || v->number < 0.0) return false;
-  *out = static_cast<std::uint64_t>(v->number);
+/// Reads `v` as a T: an integral number in [0, max T]. Anything else —
+/// negative, fractional, too large, not a number — is refused, so no id
+/// aliases another and no cast overflows.
+template <typename T>
+bool get_uint(const Value& v, T* out) {
+  // 2^digits is exact as a double; the negated test also refuses NaN.
+  if (!v.is_number() || !(v.number >= 0.0) ||
+      v.number >= std::ldexp(1.0, std::numeric_limits<T>::digits) ||
+      v.number != std::floor(v.number)) {
+    return false;
+  }
+  *out = static_cast<T>(v.number);
   return true;
 }
 
-/// Reads an array of non-negative integers (coupling/gate ids).
+/// Reads member `key` of `obj` as a T; false when absent or not a T.
+template <typename T>
+bool get_uint(const Value& obj, std::string_view key, T* out) {
+  const Value* v = obj.find(key);
+  return v != nullptr && get_uint(*v, out);
+}
+
+/// Reads an array of coupling ids.
 bool get_id_array(const Value& obj, std::string_view key,
-                  std::vector<std::uint32_t>* out, std::string* message) {
+                  std::vector<layout::CapId>* out, std::string* message) {
   const Value* v = obj.find(key);
   if (v == nullptr) return true;  // absent = empty
   if (!v->is_array()) {
@@ -35,13 +51,13 @@ bool get_id_array(const Value& obj, std::string_view key,
     return false;
   }
   for (const Value& e : v->array) {
-    if (!e.is_number() || e.number < 0.0 ||
-        e.number != std::floor(e.number)) {
-      *message = str::format("'%.*s' entries must be non-negative integers",
+    layout::CapId id = 0;
+    if (!get_uint(e, &id)) {
+      *message = str::format("'%.*s' entries must be integer ids below 2^32",
                              static_cast<int>(key.size()), key.data());
       return false;
     }
-    out->push_back(static_cast<std::uint32_t>(e.number));
+    out->push_back(id);
   }
   return true;
 }
@@ -78,8 +94,8 @@ bool parse_request(const std::string& payload, Request* out, ErrorCode* code,
   }
   // id is optional (defaults to 0) but must be numeric when present.
   if (const Value* id = doc.find("id"); id != nullptr) {
-    if (!get_u64(doc, "id", &out->id)) {
-      *message = "'id' must be a non-negative number";
+    if (!get_uint(*id, &out->id)) {
+      *message = "'id' must be an integer in [0, 2^64)";
       return false;
     }
   }
@@ -118,25 +134,23 @@ bool parse_request(const std::string& payload, Request* out, ErrorCode* code,
   }
 
   if (out->op == "what_if") {
-    std::vector<std::uint32_t> zero, shield;
-    if (!get_id_array(doc, "zero", &zero, message)) return false;
-    if (!get_id_array(doc, "shield", &shield, message)) return false;
-    out->edit.zero_couplings.assign(zero.begin(), zero.end());
-    out->edit.shield_couplings.assign(shield.begin(), shield.end());
+    if (!get_id_array(doc, "zero", &out->edit.zero_couplings, message) ||
+        !get_id_array(doc, "shield", &out->edit.shield_couplings, message)) {
+      return false;
+    }
     if (const Value* rz = doc.find("resize"); rz != nullptr) {
       if (!rz->is_array()) {
         *message = "'resize' must be an array of {gate, cell} objects";
         return false;
       }
       for (const Value& e : rz->array) {
-        std::uint64_t gate = 0, cell = 0;
-        if (!e.is_object() || !get_u64(e, "gate", &gate) ||
-            !get_u64(e, "cell", &cell)) {
+        session::WhatIfEdit::Resize r;
+        if (!e.is_object() || !get_uint(e, "gate", &r.gate) ||
+            !get_uint(e, "cell", &r.cell_index)) {
           *message = "'resize' entries must be {\"gate\": N, \"cell\": N}";
           return false;
         }
-        out->edit.resizes.push_back(
-            {static_cast<net::GateId>(gate), static_cast<std::size_t>(cell)});
+        out->edit.resizes.push_back(r);
       }
     }
     if (out->edit.empty()) {
@@ -169,7 +183,7 @@ std::string make_error_response(std::uint64_t id, ErrorCode code,
       "{\"id\": %llu, \"ok\": false, \"error\": {\"code\": \"%s\", "
       "\"message\": \"%s\"}}",
       static_cast<unsigned long long>(id), error_code_name(code),
-      io::json_escape(message).c_str());
+      util::json::escape(message).c_str());
 }
 
 std::string make_ok_response(std::uint64_t id, std::uint64_t epoch,
@@ -202,8 +216,8 @@ std::string render_topk_result(const net::Netlist& nl,
     out += str::format(
         "%s{\"cap\": %u, \"net_a\": \"%s\", \"net_b\": \"%s\", \"cap_pf\": %s}",
         first ? "" : ", ", static_cast<unsigned>(id),
-        io::json_escape(nl.net(cc.net_a).name).c_str(),
-        io::json_escape(nl.net(cc.net_b).name).c_str(),
+        util::json::escape(nl.net(cc.net_a).name).c_str(),
+        util::json::escape(nl.net(cc.net_b).name).c_str(),
         num17(cc.cap_pf).c_str());
     first = false;
   }

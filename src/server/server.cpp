@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "io/bench_reader.hpp"
-#include "io/report_writer.hpp"
 #include "io/spef_lite.hpp"
 #include "io/verilog_lite.hpp"
 #include "layout/extractor.hpp"
@@ -16,6 +15,7 @@
 #include "layout/router.hpp"
 #include "obs/metrics.hpp"
 #include "server/frame.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/string_util.hpp"
 
@@ -177,7 +177,7 @@ std::string Server::handle_list() {
   for (const auto& [name, shard] : designs_) {
     out += str::format(
         "%s{\"name\": \"%s\", \"epoch\": %llu, \"queue_depth\": %zu}",
-        first ? "" : ", ", io::json_escape(name).c_str(),
+        first ? "" : ", ", util::json::escape(name).c_str(),
         static_cast<unsigned long long>(shard->epoch()),
         shard->queue_depth());
     first = false;
@@ -243,7 +243,8 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
     log::info() << "serve: loaded design '" << name << "' from "
                 << req.netlist_path;
     send_ok(req.id, 0,
-            str::format("\"design\": \"%s\"", io::json_escape(name).c_str()));
+            str::format("\"design\": \"%s\"",
+                        util::json::escape(name).c_str()));
     return;
   }
   if (req.op != "topk" && req.op != "what_if") {

@@ -5,7 +5,6 @@
 
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
-#include "util/string_util.hpp"
 
 namespace tka::server {
 namespace {
@@ -242,16 +241,20 @@ std::string Shard::topk_result_extra(WorkerState& ws, int k, topk::Mode mode,
 std::string Shard::serve_what_if(const Request& req,
                                  std::uint64_t* epoch_out) {
   std::lock_guard<std::mutex> writer_lock(writer_mu_);
+  // A refused edit never reaches the writer: sizes and cells are checked
+  // against the head, which equals the writer's design.
+  const std::shared_ptr<const session::DesignSnapshot> snap = head();
   std::string bad;
-  if (!validate_edit(req.edit, &bad)) {
-    *epoch_out = epoch();
+  if (!session::check_edit(snap->netlist(), snap->parasitics(), req.edit,
+                           &bad)) {
+    *epoch_out = snap->epoch();
     return make_error_response(req.id, ErrorCode::kBadRequest, bad);
   }
   if (writer_ == nullptr || writer_k_ != req.k || writer_mode_ != req.mode) {
     // (Re)base the warm writer on the head snapshot. Only the writer
     // advances the head and only under writer_mu_, so its design equals
     // the committed state by construction.
-    writer_ = session_over(*head());
+    writer_ = session_over(*snap);
     topk::TopkOptions opt = base_opt_;
     opt.k = req.k;
     opt.mode = req.mode;
@@ -277,41 +280,6 @@ std::string Shard::serve_what_if(const Request& req,
       "\"result\": " + render_topk_result(writer_->netlist(),
                                           writer_->parasitics(), result,
                                           req.k));
-}
-
-bool Shard::validate_edit(const session::WhatIfEdit& edit,
-                          std::string* message) {
-  const std::shared_ptr<const session::DesignSnapshot> snap = head();
-  const std::size_t num_caps = snap->parasitics().num_couplings();
-  const std::size_t num_gates = snap->netlist().num_gates();
-  const std::size_t num_cells = snap->netlist().library().size();
-  for (layout::CapId id : edit.zero_couplings) {
-    if (id >= num_caps) {
-      *message = str::format("zero: coupling id %u out of range (%zu caps)",
-                             static_cast<unsigned>(id), num_caps);
-      return false;
-    }
-  }
-  for (layout::CapId id : edit.shield_couplings) {
-    if (id >= num_caps) {
-      *message = str::format("shield: coupling id %u out of range (%zu caps)",
-                             static_cast<unsigned>(id), num_caps);
-      return false;
-    }
-  }
-  for (const session::WhatIfEdit::Resize& r : edit.resizes) {
-    if (r.gate >= num_gates) {
-      *message = str::format("resize: gate id %u out of range (%zu gates)",
-                             static_cast<unsigned>(r.gate), num_gates);
-      return false;
-    }
-    if (r.cell_index >= num_cells) {
-      *message = str::format("resize: cell index %zu out of range (%zu cells)",
-                             r.cell_index, num_cells);
-      return false;
-    }
-  }
-  return true;
 }
 
 bool Shard::cache_lookup(std::uint64_t epoch, int k, topk::Mode mode,

@@ -122,9 +122,6 @@ class Shard {
   std::string topk_result_extra(WorkerState& ws, int k, topk::Mode mode,
                                 std::uint64_t* epoch_out);
   std::string serve_what_if(const Request& req, std::uint64_t* epoch_out);
-  /// Range-checks edit ids against the design so a bad request cannot trip
-  /// an assertion inside the engine (sizes are epoch-invariant).
-  bool validate_edit(const session::WhatIfEdit& edit, std::string* message);
 
   bool cache_lookup(std::uint64_t epoch, int k, topk::Mode mode,
                     std::string* extra);

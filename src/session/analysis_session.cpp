@@ -9,6 +9,7 @@
 #include "runtime/runtime.hpp"
 #include "runtime/task_graph.hpp"
 #include "runtime/telemetry.hpp"
+#include "session/design_snapshot.hpp"
 #include "wave/point_store.hpp"
 #include "topk/stages/baseline_stage.hpp"
 #include "topk/stages/candidate_stage.hpp"
@@ -97,37 +98,31 @@ topk::TopkResult AnalysisSession::what_if(const WhatIfEdit& edit) {
   TKA_CHECK(primed_, "what_if requires a primed session (call run() first)");
   TKA_CHECK(sopt_.retain_candidates,
             "what_if requires SessionOptions::retain_candidates");
-  obs::MetricsRegistry& reg = obs::registry();
-  reg.counter("session.whatif_edits")
+  std::string why;
+  TKA_CHECK(check_edit(nl_, par_, edit, &why), "what_if: " + why);
+  obs::registry()
+      .counter("session.whatif_edits")
       .add(edit.zero_couplings.size() + edit.shield_couplings.size() +
            edit.resizes.size());
+  apply_edit_to_design(nl_, par_, edit);
 
-  // Apply the edit to the private design copy and collect its electrical
-  // footprint: the nets whose local loads/drive changed and the couplings
-  // whose value changed.
+  // The edit's electrical footprint: the couplings whose value changed and
+  // the nets whose local loads or drive changed (a resized gate's output
+  // drive and its inputs' pin loads).
   std::vector<net::NetId> edit_nets;
   std::vector<layout::CapId> edit_caps;
-  auto touch_cap = [&](layout::CapId cap) {
-    TKA_CHECK(cap < par_.num_couplings(), "what_if: unknown coupling");
-    const layout::CouplingCap& cc = par_.coupling(cap);
-    edit_caps.push_back(cap);
-    edit_nets.push_back(cc.net_a);
-    edit_nets.push_back(cc.net_b);
-  };
-  for (layout::CapId cap : edit.zero_couplings) {
-    touch_cap(cap);
-    par_.zero_coupling(cap);
-  }
-  for (layout::CapId cap : edit.shield_couplings) {
-    touch_cap(cap);
-    par_.shield_coupling(cap);
+  for (const std::vector<layout::CapId>* caps :
+       {&edit.zero_couplings, &edit.shield_couplings}) {
+    for (layout::CapId cap : *caps) {
+      edit_caps.push_back(cap);
+      edit_nets.push_back(par_.coupling(cap).net_a);
+      edit_nets.push_back(par_.coupling(cap).net_b);
+    }
   }
   for (const WhatIfEdit::Resize& rz : edit.resizes) {
-    nl_.resize_gate(rz.gate, rz.cell_index);
-    // The output net's drive and every input net's pin load can change.
     const net::Gate& g = nl_.gate(rz.gate);
     edit_nets.push_back(g.output);
-    for (net::NetId in : g.inputs) edit_nets.push_back(in);
+    edit_nets.insert(edit_nets.end(), g.inputs.begin(), g.inputs.end());
   }
   std::sort(edit_nets.begin(), edit_nets.end());
   edit_nets.erase(std::unique(edit_nets.begin(), edit_nets.end()),

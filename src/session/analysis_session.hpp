@@ -60,6 +60,8 @@ class AnalysisSession {
 
   /// Incremental what-if query after a repair edit. Requires a primed
   /// session with retain_candidates on. Uses the options of the last run().
+  /// An edit that fails check_edit throws tka::Error and leaves the design
+  /// and every warm state untouched.
   topk::TopkResult what_if(const WhatIfEdit& edit);
 
   bool primed() const { return primed_; }

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "util/string_util.hpp"
 
 namespace tka::session {
 namespace {
@@ -34,6 +35,47 @@ void collect_chunks(const net::Netlist& nl, const layout::Parasitics& par,
 }
 
 }  // namespace
+
+bool check_edit(const net::Netlist& nl, const layout::Parasitics& par,
+                const WhatIfEdit& edit, std::string* message) {
+  const std::size_t num_caps = par.num_couplings();
+  auto caps_in_range = [&](const char* what,
+                           const std::vector<layout::CapId>& ids) {
+    for (layout::CapId id : ids) {
+      if (id >= num_caps) {
+        *message = str::format("%s: coupling id %u out of range (%zu caps)",
+                               what, static_cast<unsigned>(id), num_caps);
+        return false;
+      }
+    }
+    return true;
+  };
+  if (!caps_in_range("zero", edit.zero_couplings) ||
+      !caps_in_range("shield", edit.shield_couplings)) {
+    return false;
+  }
+  const net::CellLibrary& lib = nl.library();
+  for (const WhatIfEdit::Resize& r : edit.resizes) {
+    if (r.gate >= nl.num_gates()) {
+      *message = str::format("resize: gate id %u out of range (%zu gates)",
+                             static_cast<unsigned>(r.gate), nl.num_gates());
+      return false;
+    }
+    if (r.cell_index >= lib.size()) {
+      *message = str::format("resize: cell index %zu out of range (%zu cells)",
+                             r.cell_index, lib.size());
+      return false;
+    }
+    const net::CellType& from = lib.cell(nl.gate(r.gate).cell_index);
+    const net::CellType& to = lib.cell(r.cell_index);
+    if (!net::is_drive_variant(from, to)) {
+      *message = "resize: cell " + to.name + " is not a drive variant of " +
+                 from.name;
+      return false;
+    }
+  }
+  return true;
+}
 
 void apply_edit_to_design(net::Netlist& nl, layout::Parasitics& par,
                           const WhatIfEdit& edit) {

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "layout/parasitics.hpp"
 #include "net/netlist.hpp"
@@ -30,9 +31,16 @@
 
 namespace tka::session {
 
-/// Applies one repair edit to a design — the same three primitive
-/// operations AnalysisSession::what_if performs on its own copies, so a
-/// snapshot chain replays to exactly the design state the writer holds.
+/// Checks one repair edit against a design without changing it: every
+/// coupling and gate id in range, and every resize to a drive variant of
+/// the gate's cell. On failure returns false and says why in *message; on
+/// success apply_edit_to_design cannot fail.
+bool check_edit(const net::Netlist& nl, const layout::Parasitics& par,
+                const WhatIfEdit& edit, std::string* message);
+
+/// Applies one checked repair edit to a design. AnalysisSession::what_if
+/// applies its edits through this too, so a snapshot chain replays to
+/// exactly the design state the writer holds.
 void apply_edit_to_design(net::Netlist& nl, layout::Parasitics& par,
                           const WhatIfEdit& edit);
 

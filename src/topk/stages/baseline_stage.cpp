@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "net/topo.hpp"
 #include "obs/obs.hpp"
@@ -25,102 +26,12 @@ double BaselineStage::masked_delay(const DesignRef& design,
   return report.noisy_delay;
 }
 
-void BaselineStage::build_active_caps(const DesignRef& design,
-                                      const TopkOptions& opt,
-                                      BaselineState* state, net::NetId v,
-                                      std::vector<layout::CapId>* out) {
-  out->clear();
-  for (layout::CapId id : design.par->couplings_of(v)) {
-    if (design.par->coupling(id).cap_pf <= 0.0) continue;
-    if (state->filter && state->filter->is_false(v, id)) continue;
-    out->push_back(id);
-  }
-  truncate_active(design, opt, out);
-}
-
-void BaselineStage::truncate_active(const DesignRef& design,
-                                    const TopkOptions& opt,
-                                    std::vector<layout::CapId>* caps) {
-  if (opt.max_primary_per_victim == 0 ||
-      caps->size() <= opt.max_primary_per_victim) {
-    return;
-  }
-  std::sort(caps->begin(), caps->end(), [&](layout::CapId a, layout::CapId b) {
-    return design.par->coupling(a).cap_pf > design.par->coupling(b).cap_pf;
-  });
-  caps->resize(opt.max_primary_per_victim);
-  std::sort(caps->begin(), caps->end());
-}
-
-void BaselineStage::derive_victim(const TopkOptions& opt, BaselineState* state,
-                                  net::NetId v) {
-  const sta::WindowTable& windows = *state->windows;
-  const noise::NoiseReport& all_rep = state->fixpoint->report();
-  state->vic_t50[v] = state->addition
-                          ? windows[v].lat
-                          : windows[v].lat - all_rep.delay_noise[v];
-  const double trans = std::max(windows[v].trans_late, 1e-4);
-  state->vic_wave[v] =
-      wave::make_rising_ramp(state->vic_t50[v], trans, state->vdd);
-  if (!state->addition && !state->active_caps[v].empty()) {
-    std::vector<const wave::Pwl*> terms;
-    for (layout::CapId id : state->active_caps[v]) {
-      const wave::Pwl& e = state->builder->envelope(v, id);
-      if (!e.empty()) terms.push_back(&e);
-    }
-    state->total_env[v] = wave::Pwl::sum(terms).simplified(opt.envelope_tol);
-    state->dn_total[v] = noise::delay_noise(state->vic_wave[v],
-                                            state->total_env[v], state->vdd,
-                                            state->vic_t50[v]);
-  } else {
-    state->total_env[v] = wave::Pwl();
-    state->dn_total[v] = 0.0;
-  }
-}
-
-// cum_ub accumulates each net's local upper bound down every path so pseudo
-// envelopes are also covered by the dominance interval.
-void BaselineStage::propagate_ub(const DesignRef& design, BaselineState* state) {
-  for (net::NetId v : state->topo) {
-    const net::Net& n = design.nl->net(v);
-    double fanin_ub = 0.0;
-    if (n.driver != net::kInvalidGate) {
-      for (net::NetId in : design.nl->gate(n.driver).inputs) {
-        fanin_ub = std::max(fanin_ub, state->cum_ub[in]);
-      }
-    }
-    state->cum_ub[v] = state->local_ub[v] + fanin_ub;
-  }
-}
-
-void BaselineStage::rebuild_intervals(BaselineState* state) {
-  const std::size_t num_nets = state->iv.size();
-  for (net::NetId v = 0; v < num_nets; ++v) {
-    state->iv[v] = {state->vic_t50[v], state->vic_t50[v] + state->cum_ub[v] + 1e-6};
-  }
-}
-
-void BaselineStage::rebuild_caps_by_size(const DesignRef& design,
-                                         BaselineState* state) {
-  state->caps_by_size.clear();
-  for (layout::CapId id = 0; id < design.par->num_couplings(); ++id) {
-    if (design.par->coupling(id).cap_pf > 0.0) state->caps_by_size.push_back(id);
-  }
-  std::sort(state->caps_by_size.begin(), state->caps_by_size.end(),
-            [&](layout::CapId a, layout::CapId b) {
-              return design.par->coupling(a).cap_pf >
-                     design.par->coupling(b).cap_pf;
-            });
-}
-
 void BaselineStage::prime(const DesignRef& design, const TopkOptions& opt,
                           const noise::IterativeOptions& iter_opt,
                           BaselineState* state) {
   const net::Netlist& nl = *design.nl;
   const layout::Parasitics& par = *design.par;
   const std::size_t num_nets = nl.num_nets();
-  const std::size_t num_caps = par.num_couplings();
-  const noise::CouplingMask mask_all = noise::CouplingMask::all(num_caps);
 
   state->addition = (opt.mode == Mode::kAddition);
   state->analyzer =
@@ -134,66 +45,219 @@ void BaselineStage::prime(const DesignRef& design, const TopkOptions& opt,
       nl, par, *design.model, *design.calc, iter_opt);
   {
     obs::ScopedSpan baseline_span("topk.baseline");
-    state->fixpoint->recompute(mask_all);
+    state->fixpoint->recompute(noise::CouplingMask::all(par.num_couplings()));
   }
   const noise::NoiseReport& all_rep = state->fixpoint->report();
   state->windows =
       state->addition ? &all_rep.noiseless_windows : &all_rep.noisy_windows;
   state->builder = std::make_unique<noise::EnvelopeBuilder>(
       nl, par, *design.calc, *state->windows);
-
-  // False-aggressor prefilter and the per-victim active coupling lists.
-  // The per-victim passes (filter, victim derivation, upper bounds) run at
-  // the query's thread count; each victim writes only its own slots, so
-  // no value depends on the schedule.
   if (opt.use_filter) {
     state->filter = std::make_unique<noise::AggressorFilter>(
         nl, par, *state->analyzer, *state->builder, opt.filter, opt.threads);
   }
-  state->active_caps.assign(num_nets, {});
-  for (net::NetId v = 0; v < num_nets; ++v) {
-    build_active_caps(design, opt, state, v, &state->active_caps[v]);
-  }
 
-  // Victim transitions and (elimination) total envelopes.
+  state->topo = net::topological_nets(nl);
+  state->active_caps.assign(num_nets, {});
   state->vic_t50.assign(num_nets, 0.0);
   state->vic_wave.assign(num_nets, {});
   state->total_env.assign(num_nets, {});
   state->dn_total.assign(num_nets, 0.0);
-  runtime::parallel_for(opt.threads, 0, num_nets, [&](std::size_t v) {
-    derive_victim(opt, state, v);
-  });
-
-  // Dominance intervals with propagated upper bounds.
-  state->topo = net::topological_nets(nl);
   state->local_ub.assign(num_nets, 0.0);
   state->cum_ub.assign(num_nets, 0.0);
-  runtime::parallel_for(opt.threads, 0, num_nets, [&](std::size_t v) {
+  state->iv.assign(num_nets, {});
+  state->full_victim.assign(num_nets, 1);
+  state->base_slack.clear();
+
+  std::vector<net::NetId> every_net(num_nets);
+  std::iota(every_net.begin(), every_net.end(), net::NetId{0});
+  derive(design, opt, every_net, state, /*moved=*/nullptr);
+}
+
+void BaselineStage::refresh(const DesignRef& design, const TopkOptions& opt,
+                            std::span<const net::NetId> edit_nets,
+                            std::span<const layout::CapId> edit_caps,
+                            BaselineState* state,
+                            std::vector<net::NetId>* seeds) {
+  TKA_CHECK(state->fixpoint && state->fixpoint->primed(),
+            "BaselineStage::refresh requires a primed state");
+  const net::Netlist& nl = *design.nl;
+  const layout::Parasitics& par = *design.par;
+  const std::size_t num_nets = nl.num_nets();
+  obs::ScopedSpan span("topk.baseline_refresh");
+  obs::registry().counter("topk.baseline_refreshes").add(1);
+
+  state->fixpoint->refresh(edit_nets, edit_caps,
+                           noise::CouplingMask::all(par.num_couplings()));
+  const std::vector<net::NetId>& changed =
+      state->addition ? state->fixpoint->changed_noiseless()
+                      : state->fixpoint->changed_noisy();
+
+  // Touched = edited nets, edited-cap endpoints, and every net whose
+  // mode-selected window (or local noise bump) moved.
+  std::vector<char> flag(num_nets, 0);
+  std::vector<net::NetId> touched;
+  auto touch = [&](net::NetId n) {
+    if (!flag[n]) {
+      flag[n] = 1;
+      touched.push_back(n);
+    }
+  };
+  for (net::NetId n : edit_nets) touch(n);
+  for (layout::CapId cap : edit_caps) {
+    touch(par.coupling(cap).net_a);
+    touch(par.coupling(cap).net_b);
+  }
+  for (net::NetId n : changed) touch(n);
+  std::sort(touched.begin(), touched.end());
+
+  // Drop stale envelope-table entries before anything re-reads them.
+  for (net::NetId n : touched) state->builder->invalidate_net(n);
+  for (layout::CapId cap : edit_caps) state->builder->invalidate_cap(cap);
+
+  // Influence region R = touched ∪ coupled(touched): a victim's envelopes,
+  // active list, upper bound and total envelope can all move when one of
+  // its aggressors did.
+  std::vector<char> in_region = flag;
+  std::vector<net::NetId> region = touched;
+  for (net::NetId n : touched) {
+    for (layout::CapId cap : par.couplings_of(n)) {
+      const net::NetId o = par.coupling(cap).other(n);
+      if (!in_region[o]) {
+        in_region[o] = 1;
+        region.push_back(o);
+      }
+    }
+  }
+  std::sort(region.begin(), region.end());
+  obs::registry().counter("topk.baseline_refresh_region").add(region.size());
+
+  if (state->filter) {
+    state->filter->refresh(region, *state->analyzer, *state->builder);
+  }
+  derive(design, opt, region, state, seeds);
+
+  // Seed set: every victim whose enumeration inputs moved — the region,
+  // the nets derive() reported, and, since pseudo propagation reads the
+  // fanin nets' arrival windows directly, the gate outputs a touched net
+  // feeds.
+  seeds->insert(seeds->end(), region.begin(), region.end());
+  for (net::NetId n : touched) {
+    for (const net::PinRef& pin : nl.net(n).fanouts) {
+      seeds->push_back(nl.gate(pin.gate).output);
+    }
+  }
+  std::sort(seeds->begin(), seeds->end());
+  seeds->erase(std::unique(seeds->begin(), seeds->end()), seeds->end());
+}
+
+void BaselineStage::derive(const DesignRef& design, const TopkOptions& opt,
+                           std::span<const net::NetId> region,
+                           BaselineState* state,
+                           std::vector<net::NetId>* moved) {
+  const net::Netlist& nl = *design.nl;
+  const layout::Parasitics& par = *design.par;
+  const std::size_t num_nets = nl.num_nets();
+  const noise::CouplingMask mask_all =
+      noise::CouplingMask::all(par.num_couplings());
+  const sta::WindowTable& windows = *state->windows;
+  const noise::NoiseReport& all_rep = state->fixpoint->report();
+  auto larger = [&](layout::CapId a, layout::CapId b) {
+    return par.coupling(a).cap_pf > par.coupling(b).cap_pf;
+  };
+
+  // Per region victim: the active couplings (live, not filtered false, cut
+  // to the largest max_primary_per_victim), the victim transition,
+  // elimination's total envelope and the local upper bound. A victim writes
+  // only its own slots and builds only its own envelope-table sides, so no
+  // value or counter depends on the schedule.
+  runtime::parallel_for(opt.threads, 0, region.size(), [&](std::size_t i) {
+    const net::NetId v = region[i];
+    std::vector<layout::CapId>& caps = state->active_caps[v];
+    caps.clear();
+    for (layout::CapId id : par.couplings_of(v)) {
+      if (par.coupling(id).cap_pf <= 0.0) continue;
+      if (state->filter && state->filter->is_false(v, id)) continue;
+      caps.push_back(id);
+    }
+    if (opt.max_primary_per_victim != 0 &&
+        caps.size() > opt.max_primary_per_victim) {
+      std::sort(caps.begin(), caps.end(), larger);
+      caps.resize(opt.max_primary_per_victim);
+      std::sort(caps.begin(), caps.end());
+    }
+
+    state->vic_t50[v] = state->addition
+                            ? windows[v].lat
+                            : windows[v].lat - all_rep.delay_noise[v];
+    const double trans = std::max(windows[v].trans_late, 1e-4);
+    state->vic_wave[v] =
+        wave::make_rising_ramp(state->vic_t50[v], trans, state->vdd);
+    if (!state->addition && !caps.empty()) {
+      std::vector<const wave::Pwl*> terms;
+      for (layout::CapId id : caps) {
+        const wave::Pwl& e = state->builder->envelope(v, id);
+        if (!e.empty()) terms.push_back(&e);
+      }
+      state->total_env[v] = wave::Pwl::sum(terms).simplified(opt.envelope_tol);
+      state->dn_total[v] = noise::delay_noise(state->vic_wave[v],
+                                              state->total_env[v], state->vdd,
+                                              state->vic_t50[v]);
+    } else {
+      state->total_env[v] = wave::Pwl();
+      state->dn_total[v] = 0.0;
+    }
     state->local_ub[v] =
         state->analyzer->delay_noise_upper_bound(v, *state->builder, mask_all);
   });
-  propagate_ub(design, state);
-  state->iv.assign(num_nets, {});
-  rebuild_intervals(state);
+
+  // Dominance intervals. cum_ub accumulates each net's local upper bound
+  // down every path so pseudo envelopes are also covered, which moves
+  // intervals arbitrarily far beyond the region: rebuild all of them.
+  for (net::NetId v : state->topo) {
+    const net::Net& n = nl.net(v);
+    double fanin_ub = 0.0;
+    if (n.driver != net::kInvalidGate) {
+      for (net::NetId in : nl.gate(n.driver).inputs) {
+        fanin_ub = std::max(fanin_ub, state->cum_ub[in]);
+      }
+    }
+    state->cum_ub[v] = state->local_ub[v] + fanin_ub;
+    const wave::DominanceInterval iv{
+        state->vic_t50[v], state->vic_t50[v] + state->cum_ub[v] + 1e-6};
+    if (moved != nullptr &&
+        (iv.lo != state->iv[v].lo || iv.hi != state->iv[v].hi)) {
+      moved->push_back(v);
+    }
+    state->iv[v] = iv;
+  }
 
   // Victim restriction by slack (primaries only; pseudo always propagates).
   // Slacks are also the fallback sink estimate when pseudo propagation is
-  // disabled.
-  state->full_victim.assign(num_nets, 1);
-  state->base_slack.clear();
+  // disabled. Required times flow backward from the POs, so a verdict can
+  // flip outside the region's forward cone.
   if (std::isfinite(opt.victim_slack_threshold) || !opt.use_pseudo) {
-    const sta::StaResult base_sta =
-        sta::run_sta(nl, *design.model, opt.iterative.sta);
-    state->base_slack = sta::net_slacks(nl, base_sta);
+    state->base_slack = sta::net_slacks(
+        nl, sta::run_sta(nl, *design.model, opt.iterative.sta));
     if (std::isfinite(opt.victim_slack_threshold)) {
       for (net::NetId v = 0; v < num_nets; ++v) {
-        state->full_victim[v] =
+        const char full =
             state->base_slack[v] <= opt.victim_slack_threshold ? 1 : 0;
+        if (moved != nullptr && full != state->full_victim[v]) {
+          moved->push_back(v);
+        }
+        state->full_victim[v] = full;
       }
     }
   }
 
-  rebuild_caps_by_size(design, state);
+  // Live couplings by descending value (the evaluate stage pads short sets
+  // from it) and the sinks.
+  state->caps_by_size.clear();
+  for (layout::CapId id = 0; id < par.num_couplings(); ++id) {
+    if (par.coupling(id).cap_pf > 0.0) state->caps_by_size.push_back(id);
+  }
+  std::sort(state->caps_by_size.begin(), state->caps_by_size.end(), larger);
   state->sinks = nl.primary_outputs();
   if (state->sinks.empty()) state->sinks.push_back(all_rep.worst_po);
 }

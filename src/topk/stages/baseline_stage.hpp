@@ -1,13 +1,13 @@
-// BaselineStage: the fixpoints and every per-victim derived quantity the
-// enumeration stages read (windows, envelopes, active coupling lists,
-// dominance intervals, slack gates).
+// BaselineStage: the fixpoints and every per-victim quantity the
+// enumeration stages derive from them (windows, envelopes, active coupling
+// lists, dominance intervals, slack gates).
 //
-// prime() builds the whole state cold — counter-for-counter identical to
-// the setup the monolithic engine used to run. refresh() re-converges the
-// fixpoint incrementally after a design edit, recomputes only the derived
-// entries inside the edit's influence region, and reports the victims whose
-// enumeration inputs changed so the session can scope the remaining stages
-// to the affected fanout cone.
+// prime() builds the state cold for a run; refresh() re-converges the
+// fixpoint incrementally after a design edit and reports the victims whose
+// enumeration inputs changed, so the session can scope the remaining stages
+// to the affected fanout cone. Both derive the per-victim state through one
+// pass over a region of victims: every net for prime, the edit's influence
+// region for refresh.
 #pragma once
 
 #include <span>
@@ -42,18 +42,13 @@ class BaselineStage {
                       BaselineState* state, std::vector<net::NetId>* seeds);
 
  private:
-  // Shared by prime (baseline_stage.cpp) and refresh (baseline_refresh.cpp).
-  static void derive_victim(const TopkOptions& opt, BaselineState* state,
-                            net::NetId v);
-  static void build_active_caps(const DesignRef& design, const TopkOptions& opt,
-                                BaselineState* state, net::NetId v,
-                                std::vector<layout::CapId>* out);
-  static void truncate_active(const DesignRef& design, const TopkOptions& opt,
-                              std::vector<layout::CapId>* caps);
-  static void propagate_ub(const DesignRef& design, BaselineState* state);
-  static void rebuild_intervals(BaselineState* state);
-  static void rebuild_caps_by_size(const DesignRef& design,
-                                   BaselineState* state);
+  /// Rebuilds the per-victim state of every `region` victim on the query's
+  /// threads, then the whole-design quantities (cumulative bounds and
+  /// intervals, slack gate, cap order, sinks). Appends to *moved, when
+  /// given, every net whose interval or slack-gate verdict changed.
+  static void derive(const DesignRef& design, const TopkOptions& opt,
+                     std::span<const net::NetId> region, BaselineState* state,
+                     std::vector<net::NetId>* moved);
 };
 
 }  // namespace tka::topk::stages

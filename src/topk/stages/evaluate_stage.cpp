@@ -6,7 +6,6 @@
 
 #include "obs/obs.hpp"
 #include "runtime/runtime.hpp"
-#include "topk/local_topk.hpp"
 
 namespace tka::topk::stages {
 
@@ -100,14 +99,13 @@ void EvaluateStage::select(std::size_t i) {
         }
       }
     }
-    // Sink-side selection via local top-k heaps + tree merge
-    // (topk/local_topk.hpp): deterministic (arrival desc, insertion-order
-    // tie-break) and never sorts more than the finalists it keeps.
-    for (std::size_t idx : select_top_n(
-             ctx_->threads, ranked.size(), kFinalists,
-             [&](std::size_t r) { return ranked[r].first; })) {
-      finalists.push_back(ranked[idx].second->members);
-    }
+    // Finalists: the best arrivals, the earlier entry winning ties.
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first > b.first;
+                     });
+    if (ranked.size() > kFinalists) ranked.resize(kFinalists);
+    for (const auto& entry : ranked) finalists.push_back(entry.second->members);
     if (best_set.empty()) {
       // No cardinality-i set anywhere (tiny design / large i): keep the
       // previous cardinality's choice — a k'-set is a valid k-set choice.
@@ -238,11 +236,12 @@ void EvaluateStage::finalize() {
         if (++taken >= opt.rerank_top) break;
       }
     }
-    for (std::size_t idx : select_top_n(
-             ctx_->threads, cands.size(), opt.rerank_top,
-             [&](std::size_t c) { return cands[c]->score; })) {
-      finalists.push_back(&cands[idx]->members);
-    }
+    std::stable_sort(cands.begin(), cands.end(),
+                     [](const CandidateSet* a, const CandidateSet* b) {
+                       return a->score > b->score;
+                     });
+    if (cands.size() > opt.rerank_top) cands.resize(opt.rerank_top);
+    for (const CandidateSet* s : cands) finalists.push_back(&s->members);
   } else {
     // Sink lists are already sorted best-first.
     for (const SinkSet& s : sink_lists_[k]) {

@@ -6,8 +6,8 @@
 // duplicated key. Depth is capped to keep malformed input from recursing
 // the stack away. This exists so the bench tools (`bench_compare`,
 // `perf_report`), the analysis server's wire protocol and the tests don't
-// need an external JSON dependency; it is an input-side complement to the
-// hand-rolled writers in obs/, io/ and the harness.
+// need an external JSON dependency. The hand-rolled writers in obs/, io/,
+// server/ and the bench harness share its string escaper.
 #pragma once
 
 #include <cstddef>
@@ -52,5 +52,9 @@ bool parse(std::string_view text, Value* out, std::string* error);
 
 /// Reads and parses a file. On failure returns false with *error set.
 bool parse_file(const std::string& path, Value* out, std::string* error);
+
+/// Escapes `s` for embedding in a JSON string literal: quotes, backslashes
+/// and control characters (\n, \r and \t by name, the rest as \u00XX).
+std::string escape(std::string_view s);
 
 }  // namespace tka::util::json

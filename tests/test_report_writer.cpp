@@ -7,6 +7,7 @@
 #include "io/report_writer.hpp"
 #include "noise/coupling_calc.hpp"
 #include "session/analysis_session.hpp"
+#include "util/json.hpp"
 
 namespace tka::io {
 namespace {
@@ -43,11 +44,12 @@ struct ReportHarness {
 };
 
 TEST(JsonEscape, HandlesSpecials) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(json_escape(std::string("a\x01") + "b"), "a\\u0001b");
+  using util::json::escape;
+  EXPECT_EQ(escape("plain"), "plain");
+  EXPECT_EQ(escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(escape("a\nb\tc"), "a\\nb\\tc");
+  EXPECT_EQ(escape(std::string("a\x01") + "b"), "a\\u0001b");
 }
 
 TEST(NoiseReportJson, ContainsDelaysAndNoisyNets) {

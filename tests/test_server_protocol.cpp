@@ -179,6 +179,33 @@ TEST(Protocol, ParseRejectsBadShapes) {
   // what_if with no edit.
   EXPECT_FALSE(parse_request("{\"op\": \"what_if\"}", &req, &code, &msg));
   EXPECT_EQ(code, ErrorCode::kBadRequest);
+  // Ids that are fractional, negative or too large for their type would
+  // alias a real id (or overflow the cast): each is refused.
+  for (const char* bad : {
+           "{\"op\": \"what_if\", \"zero\": [4294967296]}",
+           "{\"op\": \"what_if\", \"zero\": [1e20]}",
+           "{\"op\": \"what_if\", \"shield\": [1.5]}",
+           "{\"op\": \"what_if\", \"resize\": [{\"gate\": 4294967296, "
+           "\"cell\": 0}]}",
+           "{\"op\": \"what_if\", \"resize\": [{\"gate\": 1.5, \"cell\": 0}]}",
+           "{\"op\": \"what_if\", \"resize\": [{\"gate\": 0, \"cell\": 1e20}]}",
+           "{\"op\": \"what_if\", \"resize\": [{\"gate\": 0, \"cell\": -1}]}",
+           "{\"id\": 1e20, \"op\": \"ping\"}",
+           "{\"id\": 2.5, \"op\": \"ping\"}"}) {
+    SCOPED_TRACE(bad);
+    Request r;
+    EXPECT_FALSE(parse_request(bad, &r, &code, &msg));
+    EXPECT_EQ(code, ErrorCode::kBadRequest);
+  }
+  // The largest id of each type still parses.
+  Request r;
+  ASSERT_TRUE(parse_request(
+      "{\"id\": 18446744073709549568, \"op\": \"what_if\", "
+      "\"zero\": [4294967295]}",
+      &r, &code, &msg))
+      << msg;
+  EXPECT_EQ(r.id, 18446744073709549568u);
+  EXPECT_EQ(r.edit.zero_couplings, std::vector<layout::CapId>{4294967295u});
 }
 
 TEST(Protocol, ParseAcceptsFullWhatIf) {
@@ -378,6 +405,29 @@ TEST(Serve, WhatIfCommitMatchesLocalSession) {
   EXPECT_NE(resp.find("\"bad_request\""), std::string::npos);
   ASSERT_TRUE(c.call("{\"id\": 8, \"op\": \"topk\", \"k\": 3}", &resp, &error));
   EXPECT_NE(resp.find("\"epoch\": 1"), std::string::npos);
+
+  // A resize to a cell that is not a drive variant refuses the whole edit
+  // with bad_request: its zero edit must not reach the writer either, so
+  // the next commit still equals the local session's answer.
+  const std::size_t nand2 = fx.netlist->library().index_of("NAND2X1");
+  ASSERT_TRUE(c.call(
+      "{\"id\": 9, \"op\": \"what_if\", \"zero\": [1], \"resize\": "
+      "[{\"gate\": 0, \"cell\": " + std::to_string(nand2) +
+          "}], \"k\": 3, \"mode\": \"elim\"}",
+      &resp, &error));
+  EXPECT_NE(resp.find("\"bad_request\""), std::string::npos) << resp;
+  edit.zero_couplings = {2};
+  const topk::TopkResult want2 = writer.what_if(edit);
+  ASSERT_TRUE(c.call(
+      "{\"id\": 10, \"op\": \"what_if\", \"zero\": [2], \"k\": 3, "
+      "\"mode\": \"elim\"}",
+      &resp, &error))
+      << error;
+  EXPECT_EQ(resp, make_ok_response(
+                      10, 2,
+                      "\"result\": " + render_topk_result(writer.netlist(),
+                                                          writer.parasitics(),
+                                                          want2, k)));
 }
 
 // queue_cap = 0 refuses every enqueue: the server must answer with the

@@ -14,6 +14,7 @@
 #include "gen/circuit_generator.hpp"
 #include "obs/obs.hpp"
 #include "session/analysis_session.hpp"
+#include "sta/analyzer.hpp"
 #include "util/assert.hpp"
 
 namespace tka::session {
@@ -260,6 +261,51 @@ TEST(Session, WhatIfOnGeneratedCircuitMatchesColdRun) {
   }
 }
 
+// Warm queries under the slack gate and the primary cap: a refresh must
+// flip slack-gate verdicts and re-truncate active lists exactly as a cold
+// run does. A repair loop zeroes, shields, then zeroes again the current
+// top member; every step must equal a one-shot run on the edited design.
+TEST(Session, WhatIfUnderSlackGateAndPrimaryCap) {
+  gen::GeneratorParams params;
+  params.name = "session_gated";
+  params.num_gates = 120;
+  params.target_couplings = 300;
+  params.seed = 7;  // its warm refreshes flip slack-gate verdicts
+  const gen::GeneratedCircuit gc = gen::generate_circuit(params);
+  const sta::DelayModel model(*gc.netlist, gc.parasitics);
+  const double noiseless =
+      sta::run_sta(*gc.netlist, model, gc.sta_options()).max_lat;
+  for (topk::Mode mode : {topk::Mode::kAddition, topk::Mode::kElimination}) {
+    // The edits and references come from the serial pass; the 4-thread
+    // pass replays them.
+    std::vector<WhatIfEdit> steps;
+    std::vector<topk::TopkResult> references;
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(threads);
+      topk::TopkOptions opt = options(gc, 3, mode, threads);
+      opt.beam_cap = 12;
+      opt.max_primary_per_victim = 3;
+      opt.victim_slack_threshold = 0.1 * noiseless;
+      AnalysisSession s(*gc.netlist, gc.parasitics, {}, kRetain);
+      topk::TopkResult result = s.run(opt);
+      gen::GeneratedCircuit edited = gen::generate_circuit(params);
+      for (std::size_t step = 0; step < 3; ++step) {
+        if (threads == 1) {
+          ASSERT_FALSE(result.members.empty());
+          WhatIfEdit edit;
+          (step == 1 ? edit.shield_couplings : edit.zero_couplings) = {
+              result.members.front()};
+          apply_to(edited, edit);
+          steps.push_back(edit);
+          references.push_back(cold_reference(edited, opt));
+        }
+        result = s.what_if(steps[step]);
+        expect_identical(result, references[step]);
+      }
+    }
+  }
+}
+
 #ifndef TKA_OBS_DISABLED
 TEST(Session, WhatIfReusesEnvelopeCacheOutsideEditCone) {
   Fixture fx = repair_fixture();
@@ -306,6 +352,25 @@ TEST(Session, WhatIfPreconditionsAreChecked) {
   AnalysisSession rolling(*fx2.netlist, fx2.parasitics, {});
   rolling.run(options(fx2, 2, topk::Mode::kAddition));
   EXPECT_THROW(rolling.what_if(edit), Error);
+
+  // An edit that fails check_edit is refused whole: its zero edit must not
+  // reach the design, so the next edit still matches a one-shot run.
+  const net::CellLibrary& lib = net::CellLibrary::default_library();
+  Fixture fx3 = repair_fixture();
+  const topk::TopkOptions opt = options(fx3, 2, topk::Mode::kElimination);
+  AnalysisSession s(*fx3.netlist, fx3.parasitics, {}, kRetain);
+  s.run(opt);
+  WhatIfEdit mixed;
+  mixed.zero_couplings = {0};
+  mixed.resizes = {{0, lib.index_of("NAND2X1")}};  // gate 0 is a buffer
+  EXPECT_THROW(s.what_if(mixed), Error);
+  WhatIfEdit out_of_range;
+  out_of_range.resizes = {{0, lib.size()}};
+  EXPECT_THROW(s.what_if(out_of_range), Error);
+  edit.zero_couplings = {1};
+  Fixture edited = repair_fixture();
+  apply_to(edited, edit);
+  expect_identical(s.what_if(edit), cold_reference(edited, opt));
 }
 
 }  // namespace
