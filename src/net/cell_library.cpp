@@ -4,49 +4,6 @@
 
 namespace tka::net {
 
-bool eval_cell(CellFunc func, std::span<const bool> in) {
-  TKA_ASSERT(!in.empty());
-  auto all = [&](bool v) {
-    for (bool b : in)
-      if (b != v) return false;
-    return true;
-  };
-  auto any = [&](bool v) {
-    for (bool b : in)
-      if (b == v) return true;
-    return false;
-  };
-  auto parity = [&] {
-    bool p = false;
-    for (bool b : in) p ^= b;
-    return p;
-  };
-  switch (func) {
-    case CellFunc::kBuf:  return in[0];
-    case CellFunc::kInv:  return !in[0];
-    case CellFunc::kAnd:  return all(true);
-    case CellFunc::kNand: return !all(true);
-    case CellFunc::kOr:   return any(true);
-    case CellFunc::kNor:  return !any(true);
-    case CellFunc::kXor:  return parity();
-    case CellFunc::kXnor: return !parity();
-  }
-  TKA_ASSERT(false);
-  return false;
-}
-
-bool is_inverting(CellFunc func) {
-  switch (func) {
-    case CellFunc::kInv:
-    case CellFunc::kNand:
-    case CellFunc::kNor:
-    case CellFunc::kXnor:
-      return true;
-    default:
-      return false;
-  }
-}
-
 size_t CellLibrary::index_of(const std::string& name) const {
   for (size_t i = 0; i < cells_.size(); ++i) {
     if (cells_[i].name == name) return i;

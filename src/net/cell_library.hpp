@@ -1,6 +1,6 @@
 // Standard-cell library: per-cell electrical constants for the linear
-// delay model plus the boolean function (used by the functional
-// false-aggressor filter).
+// delay model plus the boolean function (which cells are drive variants of
+// one another).
 //
 // The values in default_library() are 0.13um-flavored: drive resistances
 // around a kOhm, input caps of a few fF, intrinsic delays of tens of ps.
@@ -10,7 +10,6 @@
 
 #include <cstddef>
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -29,12 +28,6 @@ enum class CellFunc {
   kXor,
   kXnor,
 };
-
-/// Evaluates `func` over the fanin values.
-bool eval_cell(CellFunc func, std::span<const bool> inputs);
-
-/// True if a rising input produces a falling output (odd inversion).
-bool is_inverting(CellFunc func);
 
 /// One library cell.
 struct CellType {

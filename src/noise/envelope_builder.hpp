@@ -84,8 +84,7 @@ class EnvelopeBuilder {
   };
 
   wave::Pwl build(net::NetId victim, layout::CapId cap, double lat_extension) const;
-  /// Table index of a side: 2 * cap + (victim == net_b), the same indexing
-  /// as AggressorFilter.
+  /// Table index of a side: 2 * cap + (victim == net_b).
   std::size_t side_index(net::NetId victim, layout::CapId cap) const;
   /// Returns both sides of `cap` to kEmpty where built, keeping the byte
   /// accounting in step. Returns the number of sides dropped.

@@ -116,8 +116,7 @@ const NoiseReport& IncrementalFixpoint::refresh(
   report_.noiseless_windows = nt.base.windows;
   report_.noiseless_delay = nt.base.max_lat;
 
-  const double tol =
-      std::max(opt_.tolerance_ns, 1e-5 * std::abs(nt.base.max_lat));
+  const double tol = std::max(kToleranceNs, 1e-5 * std::abs(nt.base.max_lat));
 
   // The starting bump vector and its per-net diff vs. the recorded run.
   std::vector<double> bump(num_nets, 0.0);
@@ -154,7 +153,7 @@ const NoiseReport& IncrementalFixpoint::refresh(
   std::vector<char> win_dirty(num_nets, 0);
   bool converged = false;
   int iter = 0;
-  for (; iter < opt_.max_iterations; ++iter) {
+  for (; iter < kMaxIterations; ++iter) {
     const std::size_t idx = nt.windows.size();
     replay_sta(idx, bump, e_nets, &cur, &win_dirty);
     nt.bumps.push_back(bump);
@@ -211,7 +210,7 @@ const NoiseReport& IncrementalFixpoint::refresh(
   c_iters.add(static_cast<std::uint64_t>(iter));
   if (!converged) {
     log::warn() << "IncrementalFixpoint: no convergence after "
-                << opt_.max_iterations << " iterations (tol " << tol << " ns)";
+                << kMaxIterations << " iterations (tol " << tol << " ns)";
   }
 
   // Final evaluation at the converged bumps.

@@ -47,7 +47,7 @@ NoiseReport analyze_iterative(const net::Netlist& nl, const layout::Parasitics& 
   // Convergence is judged relative to the circuit scale: demanding
   // sub-femtosecond stability on a long unbuffered path just burns
   // iterations on noise-floor creep.
-  const double tol = std::max(opt.tolerance_ns, 1e-5 * std::abs(base.max_lat));
+  const double tol = std::max(kToleranceNs, 1e-5 * std::abs(base.max_lat));
 
   std::vector<double> bump(nl.num_nets(), 0.0);
   if (opt.pessimistic_start) {
@@ -65,7 +65,7 @@ NoiseReport analyze_iterative(const net::Netlist& nl, const layout::Parasitics& 
   sta::StaResult current = base;
   bool converged = false;
   int iter = 0;
-  for (; iter < opt.max_iterations; ++iter) {
+  for (; iter < kMaxIterations; ++iter) {
     obs::ScopedSpan iter_span("noise.iteration");
     if (iter_span.recording()) {
       iter_span.arg("iter", static_cast<std::int64_t>(iter));
@@ -104,7 +104,7 @@ NoiseReport analyze_iterative(const net::Netlist& nl, const layout::Parasitics& 
   h_iters.observe(static_cast<double>(iter));
   if (!converged) {
     c_nonconv.add(1);
-    log::warn() << "analyze_iterative: no convergence after " << opt.max_iterations
+    log::warn() << "analyze_iterative: no convergence after " << kMaxIterations
                 << " iterations (tol " << tol << " ns)";
   } else if (log::enabled(log::Level::kDebug)) {
     log::debug() << "analyze_iterative: converged after " << iter

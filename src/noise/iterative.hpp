@@ -14,10 +14,14 @@
 
 namespace tka::noise {
 
+/// Iteration cap of the fixpoint.
+inline constexpr int kMaxIterations = 25;
+/// Convergence tolerance: max |bump change| (ns). Both fixpoints raise it
+/// to 1e-5 of the noiseless circuit delay when that is larger.
+inline constexpr double kToleranceNs = 1e-4;
+
 /// Controls for the fixpoint iteration.
 struct IterativeOptions {
-  int max_iterations = 25;
-  double tolerance_ns = 1e-4;      ///< max |bump change| for convergence
   bool pessimistic_start = false;  ///< start from upper-bound bumps
   /// Worker threads for the per-victim relaxation sweep. 0 = resolve from
   /// TKA_THREADS / hardware concurrency (runtime/runtime.hpp); 1 = serial.

@@ -116,4 +116,16 @@ wave::DominanceInterval NoiseAnalyzer::dominance_interval(
   return iv;
 }
 
+bool is_false_aggressor(const layout::Parasitics& par,
+                        const EnvelopeBuilder& builder, net::NetId victim,
+                        layout::CapId cap, double upper_bound) {
+  if (par.coupling(cap).cap_pf <= 0.0) return true;
+  if (builder.pulse_shape(victim, cap).peak < kMinPeakV) return true;
+  const double lat = builder.windows()[victim].lat;
+  const wave::Pwl env = builder.envelope_widened(victim, cap, 0.0);
+  // Zero inside the interval <=> the zero waveform encapsulates it there.
+  return env.empty() ||
+         wave::Pwl::zero().encapsulates(env, lat, lat + upper_bound, 1e-12);
+}
+
 }  // namespace tka::noise

@@ -100,4 +100,21 @@ class NoiseAnalyzer {
   const sta::DelayModel* model_;
 };
 
+/// Noise floor of the magnitude rule: pulses with a lower peak (V) are
+/// false aggressors, as industrial practice thresholds tiny couplings.
+inline constexpr double kMinPeakV = 1e-4;
+
+/// The false-aggressor rule (paper refs [10],[11], simplified): true when
+/// `cap` is dropped for `victim`. Rules, in order: the coupling is zeroed;
+/// its pulse peak is below the noise floor kMinPeakV; its envelope is
+/// identically zero over the victim's dominance interval
+/// [lat, lat + upper_bound], so it never hits the transition even with
+/// propagated-noise widening. `upper_bound` is
+/// delay_noise_upper_bound(victim, builder, all caps).
+/// The side's envelope is built fresh, not taken from the builder's table:
+/// many sides tested here are never read again.
+bool is_false_aggressor(const layout::Parasitics& par,
+                        const EnvelopeBuilder& builder, net::NetId victim,
+                        layout::CapId cap, double upper_bound);
+
 }  // namespace tka::noise

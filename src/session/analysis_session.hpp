@@ -2,9 +2,8 @@
 // pipeline (docs/ARCHITECTURE.md), and the one way to run a query.
 //
 // A session owns copies of the netlist and parasitics, the delay model and
-// coupling calculator over them, the envelope caches, the false-aggressor
-// filter state and the recorded baseline fixpoints, and keeps them warm
-// across queries:
+// coupling calculator over them, the envelope caches and the recorded
+// baseline fixpoints, and keeps them warm across queries:
 //
 //   run(options)   — cold query: primes the baseline and enumerates every
 //                    victim. A one-shot query is a fresh session's run().

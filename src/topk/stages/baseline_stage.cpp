@@ -52,10 +52,6 @@ void BaselineStage::prime(const DesignRef& design, const TopkOptions& opt,
       state->addition ? &all_rep.noiseless_windows : &all_rep.noisy_windows;
   state->builder = std::make_unique<noise::EnvelopeBuilder>(
       nl, par, *design.calc, *state->windows);
-  if (opt.use_filter) {
-    state->filter = std::make_unique<noise::AggressorFilter>(
-        nl, par, *state->analyzer, *state->builder, opt.filter, opt.threads);
-  }
 
   state->topo = net::topological_nets(nl);
   state->active_caps.assign(num_nets, {});
@@ -71,7 +67,11 @@ void BaselineStage::prime(const DesignRef& design, const TopkOptions& opt,
 
   std::vector<net::NetId> every_net(num_nets);
   std::iota(every_net.begin(), every_net.end(), net::NetId{0});
-  derive(design, opt, every_net, state, /*moved=*/nullptr);
+  const std::size_t dropped =
+      derive(design, opt, every_net, state, /*moved=*/nullptr);
+  if (opt.use_filter) {
+    obs::registry().counter("noise.filter_false_sides").add(dropped);
+  }
 }
 
 void BaselineStage::refresh(const DesignRef& design, const TopkOptions& opt,
@@ -117,7 +117,9 @@ void BaselineStage::refresh(const DesignRef& design, const TopkOptions& opt,
 
   // Influence region R = touched ∪ coupled(touched): a victim's envelopes,
   // active list, upper bound and total envelope can all move when one of
-  // its aggressors did.
+  // its aggressors did. Its false-aggressor verdicts read only its caps,
+  // drive, load and window and its partners' windows, so a victim outside
+  // R keeps them.
   std::vector<char> in_region = flag;
   std::vector<net::NetId> region = touched;
   for (net::NetId n : touched) {
@@ -132,8 +134,10 @@ void BaselineStage::refresh(const DesignRef& design, const TopkOptions& opt,
   std::sort(region.begin(), region.end());
   obs::registry().counter("topk.baseline_refresh_region").add(region.size());
 
-  if (state->filter) {
-    state->filter->refresh(region, *state->analyzer, *state->builder);
+  if (opt.use_filter) {
+    std::size_t sides = 0;
+    for (net::NetId v : region) sides += par.couplings_of(v).size();
+    obs::registry().counter("noise.filter_refreshed_sides").add(sides);
   }
   derive(design, opt, region, state, seeds);
 
@@ -151,10 +155,11 @@ void BaselineStage::refresh(const DesignRef& design, const TopkOptions& opt,
   seeds->erase(std::unique(seeds->begin(), seeds->end()), seeds->end());
 }
 
-void BaselineStage::derive(const DesignRef& design, const TopkOptions& opt,
-                           std::span<const net::NetId> region,
-                           BaselineState* state,
-                           std::vector<net::NetId>* moved) {
+std::size_t BaselineStage::derive(const DesignRef& design,
+                                  const TopkOptions& opt,
+                                  std::span<const net::NetId> region,
+                                  BaselineState* state,
+                                  std::vector<net::NetId>* moved) {
   const net::Netlist& nl = *design.nl;
   const layout::Parasitics& par = *design.par;
   const std::size_t num_nets = nl.num_nets();
@@ -166,19 +171,30 @@ void BaselineStage::derive(const DesignRef& design, const TopkOptions& opt,
     return par.coupling(a).cap_pf > par.coupling(b).cap_pf;
   };
 
-  // Per region victim: the active couplings (live, not filtered false, cut
-  // to the largest max_primary_per_victim), the victim transition,
-  // elimination's total envelope and the local upper bound. A victim writes
+  // Per region victim: the local upper bound, the active couplings (live,
+  // not false aggressors, cut to the largest max_primary_per_victim), the
+  // victim transition and elimination's total envelope. A victim writes
   // only its own slots and builds only its own envelope-table sides, so no
   // value or counter depends on the schedule.
+  std::vector<std::size_t> dropped(region.size(), 0);
   runtime::parallel_for(opt.threads, 0, region.size(), [&](std::size_t i) {
     const net::NetId v = region[i];
+    state->local_ub[v] =
+        state->analyzer->delay_noise_upper_bound(v, *state->builder, mask_all);
     std::vector<layout::CapId>& caps = state->active_caps[v];
     caps.clear();
-    for (layout::CapId id : par.couplings_of(v)) {
-      if (par.coupling(id).cap_pf <= 0.0) continue;
-      if (state->filter && state->filter->is_false(v, id)) continue;
-      caps.push_back(id);
+    {
+      obs::ScopedSpan filter_span("noise.filter");
+      for (layout::CapId id : par.couplings_of(v)) {
+        if (opt.use_filter
+                ? noise::is_false_aggressor(par, *state->builder, v, id,
+                                            state->local_ub[v])
+                : par.coupling(id).cap_pf <= 0.0) {
+          ++dropped[i];
+        } else {
+          caps.push_back(id);
+        }
+      }
     }
     if (opt.max_primary_per_victim != 0 &&
         caps.size() > opt.max_primary_per_victim) {
@@ -199,7 +215,7 @@ void BaselineStage::derive(const DesignRef& design, const TopkOptions& opt,
         const wave::Pwl& e = state->builder->envelope(v, id);
         if (!e.empty()) terms.push_back(&e);
       }
-      state->total_env[v] = wave::Pwl::sum(terms).simplified(opt.envelope_tol);
+      state->total_env[v] = wave::Pwl::sum(terms).simplified(kEnvelopeTol);
       state->dn_total[v] = noise::delay_noise(state->vic_wave[v],
                                               state->total_env[v], state->vdd,
                                               state->vic_t50[v]);
@@ -207,8 +223,6 @@ void BaselineStage::derive(const DesignRef& design, const TopkOptions& opt,
       state->total_env[v] = wave::Pwl();
       state->dn_total[v] = 0.0;
     }
-    state->local_ub[v] =
-        state->analyzer->delay_noise_upper_bound(v, *state->builder, mask_all);
   });
 
   // Dominance intervals. cum_ub accumulates each net's local upper bound
@@ -260,6 +274,7 @@ void BaselineStage::derive(const DesignRef& design, const TopkOptions& opt,
   std::sort(state->caps_by_size.begin(), state->caps_by_size.end(), larger);
   state->sinks = nl.primary_outputs();
   if (state->sinks.empty()) state->sinks.push_back(all_rep.worst_po);
+  return std::accumulate(dropped.begin(), dropped.end(), std::size_t{0});
 }
 
 }  // namespace tka::topk::stages

@@ -1,6 +1,6 @@
 // BaselineStage: the fixpoints and every per-victim quantity the
 // enumeration stages derive from them (windows, envelopes, active coupling
-// lists, dominance intervals, slack gates).
+// lists with false aggressors dropped, dominance intervals, slack gates).
 //
 // prime() builds the state cold for a run; refresh() re-converges the
 // fixpoint incrementally after a design edit and reports the victims whose
@@ -43,12 +43,16 @@ class BaselineStage {
 
  private:
   /// Rebuilds the per-victim state of every `region` victim on the query's
-  /// threads, then the whole-design quantities (cumulative bounds and
-  /// intervals, slack gate, cap order, sinks). Appends to *moved, when
-  /// given, every net whose interval or slack-gate verdict changed.
-  static void derive(const DesignRef& design, const TopkOptions& opt,
-                     std::span<const net::NetId> region, BaselineState* state,
-                     std::vector<net::NetId>* moved);
+  /// threads, deciding its false aggressors (noise::is_false_aggressor)
+  /// when the filter is on, then the whole-design quantities (cumulative
+  /// bounds and intervals, slack gate, cap order, sinks). Appends to
+  /// *moved, when given, every net whose interval or slack-gate verdict
+  /// changed. Returns how many of the region victims' coupling sides it
+  /// dropped: zeroed, or false aggressors when the filter is on.
+  static std::size_t derive(const DesignRef& design, const TopkOptions& opt,
+                            std::span<const net::NetId> region,
+                            BaselineState* state,
+                            std::vector<net::NetId>* moved);
 };
 
 }  // namespace tka::topk::stages

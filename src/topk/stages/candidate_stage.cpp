@@ -88,7 +88,7 @@ void CandidateStage::generate(const QueryContext& ctx, net::NetId v,
         cand.members = tmp_members;
         cand.envelope = s.envelope.plus(cap_env);
         if (cand.envelope.size() > 24) {
-          cand.envelope = cand.envelope.simplified(opt.envelope_tol);
+          cand.envelope = cand.envelope.simplified(kEnvelopeTol);
         }
         cand.score = score_env(ctx, v, cand.envelope);
         cand.sig = wave::make_signature(cand.envelope, iv);
@@ -125,7 +125,7 @@ void CandidateStage::generate(const QueryContext& ctx, net::NetId v,
         if (!ce.empty()) cand.envelope = cand.envelope.plus(ce);
       }
       if (cand.envelope.size() > 24) {
-        cand.envelope = cand.envelope.simplified(opt.envelope_tol);
+        cand.envelope = cand.envelope.simplified(kEnvelopeTol);
       }
       cand.score = score_env(ctx, v, cand.envelope);
       cand.sig = wave::make_signature(cand.envelope, iv);
@@ -221,7 +221,7 @@ void CandidateStage::generate(const QueryContext& ctx, net::NetId v,
   }
 
   // Step 3: higher-order aggressors of cardinality i.
-  if (opt.use_higher_order && base.full_victim[v] && i >= 2) {
+  if (base.full_victim[v] && i >= 2) {
     for (layout::CapId cap : base.active_caps[v]) {
       const net::NetId a = ctx.design.par->coupling(cap).other(v);
       if (addition) {
@@ -234,7 +234,7 @@ void CandidateStage::generate(const QueryContext& ctx, net::NetId v,
         CandidateSet cand;
         cand.members = tmp_members;
         cand.envelope = builder.envelope_widened(v, cap, widen)
-                            .simplified(opt.envelope_tol);
+                            .simplified(kEnvelopeTol);
         cand.score = score_env(ctx, v, cand.envelope);
         cand.sig = wave::make_signature(cand.envelope, iv);
         ctx.c_sets->add(1);
@@ -256,12 +256,12 @@ void CandidateStage::generate(const QueryContext& ctx, net::NetId v,
         // reduction; rebuild with a negative extension via the base
         // (noiseless-LAT) envelope widened by the remaining noise.
         const wave::Pwl narrowed = builder.envelope_widened(v, cap, -s.score)
-                                       .simplified(opt.envelope_tol);
+                                       .simplified(kEnvelopeTol);
         wave::Pwl diff = full_env.minus(narrowed).clamped(0.0, base.vdd);
         if (diff.peak() <= 1e-9) continue;
         CandidateSet cand;
         cand.members = s.members;
-        cand.envelope = diff.simplified(opt.envelope_tol);
+        cand.envelope = diff.simplified(kEnvelopeTol);
         cand.score = score_env(ctx, v, cand.envelope);
         cand.sig = wave::make_signature(cand.envelope, iv);
         ctx.c_sets->add(1);

@@ -14,7 +14,7 @@ void PruneStage::reduce(const QueryContext& ctx, net::NetId v, std::size_t i,
   // arrive with envelope signatures over iv[v] already attached
   // (CandidateStage), so the dominance pass inside reduce() settles most
   // pairs with the signature pre-filter.
-  list.reduce(ctx.base->iv[v], opt.dominance_tol, opt.beam_cap,
+  list.reduce(ctx.base->iv[v], kDominanceTol, opt.beam_cap,
               opt.use_dominance, prune_out, ctx.base->active_caps[v]);
   ctx.h_ilist->observe(static_cast<double>(list.size()));
   ctx.c_surviving->add(list.size());

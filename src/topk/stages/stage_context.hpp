@@ -24,7 +24,6 @@
 #include <span>
 #include <vector>
 
-#include "noise/aggressor_filter.hpp"
 #include "noise/incremental_fixpoint.hpp"
 #include "obs/metrics.hpp"
 #include "topk/irredundant_list.hpp"
@@ -54,7 +53,6 @@ struct BaselineState {
   /// Envelope cache over `windows`; survives refresh() so only invalidated
   /// entries rebuild.
   std::unique_ptr<noise::EnvelopeBuilder> builder;
-  std::unique_ptr<noise::AggressorFilter> filter;
 
   /// Mode-selected window view into the fixpoint report (noiseless for
   /// addition, noisy for elimination). Stable across refresh().

@@ -22,12 +22,16 @@
 #include <limits>
 #include <vector>
 
-#include "noise/aggressor_filter.hpp"
 #include "noise/iterative.hpp"
 #include "topk/irredundant_list.hpp"
 #include "topk/pseudo_aggressor.hpp"
 
 namespace tka::topk {
+
+/// PWL simplification tolerance (V) of candidate and total envelopes.
+inline constexpr double kEnvelopeTol = 2e-4;
+/// Envelope-encapsulation tolerance (V) of dominance pruning.
+inline constexpr double kDominanceTol = 1e-6;
 
 /// Engine controls.
 struct TopkOptions {
@@ -43,7 +47,6 @@ struct TopkOptions {
 
   bool use_dominance = true;        ///< ablation: Pareto pruning on/off
   bool use_pseudo = true;           ///< ablation: fanin propagation on/off
-  bool use_higher_order = true;     ///< ablation: indirect aggressors on/off
   bool propagate_full_ilist = true; ///< false: only each fanin's winner set
   bool use_filter = true;           ///< false-aggressor prefilter
 
@@ -58,9 +61,6 @@ struct TopkOptions {
   /// their indirect/pseudo interactions exactly.
   size_t max_primary_per_victim = 0;
 
-  double envelope_tol = 2e-4;   ///< PWL simplification tolerance (V)
-  double dominance_tol = 1e-6;  ///< envelope-encapsulation tolerance (V)
-
   /// Victims with STA slack above this threshold skip primary enumeration
   /// (they still propagate pseudo aggressors). infinity = process all.
   double victim_slack_threshold = std::numeric_limits<double>::infinity();
@@ -74,7 +74,6 @@ struct TopkOptions {
   size_t rerank_top = 6;
 
   noise::IterativeOptions iterative;  ///< baseline/evaluation controls
-  noise::FilterOptions filter;
 };
 
 /// Counters for reporting and the ablation benches.

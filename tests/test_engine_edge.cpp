@@ -109,15 +109,6 @@ TEST(EngineEdge, RerankZeroKeepsEstimatorChoice) {
   EXPECT_LE(r1.evaluated_delay, r2.evaluated_delay + 1e-12);
 }
 
-TEST(EngineEdge, HigherOrderToggleIsSafe) {
-  Harness h(basic_fixture());
-  TopkOptions opt = h.options(2, Mode::kAddition);
-  opt.use_higher_order = false;
-  const TopkResult res = h.run(opt);
-  EXPECT_EQ(res.members.size(), 2u);
-  EXPECT_GE(res.evaluated_delay, res.baseline_delay);
-}
-
 TEST(EngineEdge, FilterToggleConsistency) {
   Harness h(basic_fixture());
   TopkOptions on = h.options(2, Mode::kAddition);

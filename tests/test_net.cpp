@@ -39,35 +39,6 @@ TEST(CellLibrary, CellsWithInputs) {
   EXPECT_TRUE(lib.cells_with_inputs(7).empty());
 }
 
-TEST(CellFunc, TruthTables) {
-  const bool ff[] = {false, false};
-  const bool ft[] = {false, true};
-  const bool tt[] = {true, true};
-  EXPECT_FALSE(eval_cell(CellFunc::kAnd, ff));
-  EXPECT_FALSE(eval_cell(CellFunc::kAnd, ft));
-  EXPECT_TRUE(eval_cell(CellFunc::kAnd, tt));
-  EXPECT_TRUE(eval_cell(CellFunc::kNand, ft));
-  EXPECT_FALSE(eval_cell(CellFunc::kNand, tt));
-  EXPECT_TRUE(eval_cell(CellFunc::kOr, ft));
-  EXPECT_FALSE(eval_cell(CellFunc::kNor, ft));
-  EXPECT_TRUE(eval_cell(CellFunc::kNor, ff));
-  EXPECT_TRUE(eval_cell(CellFunc::kXor, ft));
-  EXPECT_FALSE(eval_cell(CellFunc::kXor, tt));
-  EXPECT_TRUE(eval_cell(CellFunc::kXnor, tt));
-  const bool one[] = {true};
-  EXPECT_TRUE(eval_cell(CellFunc::kBuf, one));
-  EXPECT_FALSE(eval_cell(CellFunc::kInv, one));
-}
-
-TEST(CellFunc, InversionParity) {
-  EXPECT_TRUE(is_inverting(CellFunc::kInv));
-  EXPECT_TRUE(is_inverting(CellFunc::kNand));
-  EXPECT_TRUE(is_inverting(CellFunc::kNor));
-  EXPECT_TRUE(is_inverting(CellFunc::kXnor));
-  EXPECT_FALSE(is_inverting(CellFunc::kBuf));
-  EXPECT_FALSE(is_inverting(CellFunc::kAnd));
-}
-
 TEST(Netlist, BuildSmallCircuit) {
   const CellLibrary& lib = CellLibrary::default_library();
   Netlist nl(lib, "t");

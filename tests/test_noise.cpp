@@ -1,6 +1,6 @@
 // Tests for the noise engine: coupling calculators, envelope construction
 // and the envelope table, delay-noise superposition, the iterative
-// window/noise fixpoint and the false-aggressor filter.
+// window/noise fixpoint and the false-aggressor rule.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +11,6 @@
 
 #include "fixtures.hpp"
 #include "gen/circuit_generator.hpp"
-#include "noise/aggressor_filter.hpp"
 #include "noise/coupling_calc.hpp"
 #include "noise/envelope_builder.hpp"
 #include "noise/incremental_fixpoint.hpp"
@@ -44,8 +43,8 @@ gen::GeneratedCircuit generated_circuit(std::uint64_t seed) {
   return gen::generate_circuit(p);
 }
 
-// A generated design with its noiseless windows, for the envelope-table and
-// filter tests that need many coupling sides.
+// A generated design with its noiseless windows, for the envelope-table
+// tests that need many coupling sides.
 struct Generated {
   gen::GeneratedCircuit ckt;
   sta::DelayModel model;
@@ -528,34 +527,34 @@ TEST(IncrementalFixpointTest, RefreshMatchesColdRecomputeFromBothStarts) {
   }
 }
 
+// The false-aggressor rule on one side of `fx`, under its noiseless
+// windows and the victim's upper bound over all of its couplings.
+bool false_side(const Fixture& fx, const char* victim, layout::CapId cap) {
+  Bound b(fx);
+  AnalyticCouplingCalculator calc(fx.parasitics, b.model);
+  EnvelopeBuilder builder(*fx.netlist, fx.parasitics, calc, b.sta.windows);
+  NoiseAnalyzer analyzer(*fx.netlist, fx.parasitics, b.model);
+  const net::NetId v = fx.netlist->net_by_name(victim);
+  const double ub = analyzer.delay_noise_upper_bound(
+      v, builder, CouplingMask::all(fx.parasitics.num_couplings()));
+  return is_false_aggressor(fx.parasitics, builder, v, cap, ub);
+}
+
 TEST(Filter, FarWindowAggressorFiltered) {
   Fixture fx = test::make_parallel_chains(2, 2);
   // Aggressor switches far after the victim (5 ns later): can never hit it.
   test::set_arrival(fx, "c1_in", 5.0, 5.2);
   const layout::CapId cap = test::couple(fx, "c0_n1", "c1_n1", 0.006);
-  Bound b(fx);
-  AnalyticCouplingCalculator calc(fx.parasitics, b.model);
-  EnvelopeBuilder builder(*fx.netlist, fx.parasitics, calc, b.sta.windows);
-  NoiseAnalyzer analyzer(*fx.netlist, fx.parasitics, b.model);
-  AggressorFilter filter(*fx.netlist, fx.parasitics, analyzer, builder, {});
-  const net::NetId victim = fx.netlist->net_by_name("c0_n1");
-  const net::NetId agg = fx.netlist->net_by_name("c1_n1");
-  EXPECT_TRUE(filter.is_false(victim, cap));
+  EXPECT_TRUE(false_side(fx, "c0_n1", cap));
   // On the reverse side the roles swap: victim c1_n1 switches at 5 ns; the
   // aggressor (c0_n1, switching at ~0) ends long before -> also false.
-  EXPECT_TRUE(filter.is_false(agg, cap));
-  EXPECT_EQ(filter.num_filtered(), 2u);
+  EXPECT_TRUE(false_side(fx, "c1_n1", cap));
 }
 
 TEST(Filter, OverlappingAggressorKept) {
   Fixture fx = test::make_parallel_chains(2, 2);
   const layout::CapId cap = test::couple(fx, "c0_n1", "c1_n1", 0.006);
-  Bound b(fx);
-  AnalyticCouplingCalculator calc(fx.parasitics, b.model);
-  EnvelopeBuilder builder(*fx.netlist, fx.parasitics, calc, b.sta.windows);
-  NoiseAnalyzer analyzer(*fx.netlist, fx.parasitics, b.model);
-  AggressorFilter filter(*fx.netlist, fx.parasitics, analyzer, builder, {});
-  EXPECT_FALSE(filter.is_false(fx.netlist->net_by_name("c0_n1"), cap));
+  EXPECT_FALSE(false_side(fx, "c0_n1", cap));
 }
 
 TEST(Filter, ZeroedAndTinyCapsFiltered) {
@@ -563,67 +562,8 @@ TEST(Filter, ZeroedAndTinyCapsFiltered) {
   const layout::CapId dead = test::couple(fx, "c0_n0", "c1_n0", 0.005);
   const layout::CapId tiny = test::couple(fx, "c0_n1", "c1_n1", 1.2e-6);
   fx.parasitics.zero_coupling(dead);
-  Bound b(fx);
-  AnalyticCouplingCalculator calc(fx.parasitics, b.model);
-  EnvelopeBuilder builder(*fx.netlist, fx.parasitics, calc, b.sta.windows);
-  NoiseAnalyzer analyzer(*fx.netlist, fx.parasitics, b.model);
-  AggressorFilter filter(*fx.netlist, fx.parasitics, analyzer, builder, {});
-  EXPECT_TRUE(filter.is_false(fx.netlist->net_by_name("c0_n0"), dead));
-  EXPECT_TRUE(filter.is_false(fx.netlist->net_by_name("c0_n1"), tiny));
-}
-
-TEST(Filter, VerdictsIndependentOfThreadCount) {
-  Generated g(31);
-  const auto sides = g.sides();
-  NoiseAnalyzer analyzer(*g.ckt.netlist, g.ckt.parasitics, g.model);
-  EnvelopeBuilder builder(*g.ckt.netlist, g.ckt.parasitics, g.calc,
-                          g.sta.windows);
-  const AggressorFilter serial(*g.ckt.netlist, g.ckt.parasitics, analyzer,
-                               builder, {}, 1);
-  const AggressorFilter parallel(*g.ckt.netlist, g.ckt.parasitics, analyzer,
-                                 builder, {}, 4);
-  // Both rule outcomes occur, so the comparison is not vacuous.
-  EXPECT_GT(serial.num_filtered(), 0u);
-  EXPECT_LT(serial.num_filtered(), serial.num_sides());
-  EXPECT_EQ(parallel.num_filtered(), serial.num_filtered());
-  EXPECT_EQ(parallel.num_sides(), serial.num_sides());
-  for (const auto& [v, cap] : sides) {
-    EXPECT_EQ(parallel.is_false(v, cap), serial.is_false(v, cap))
-        << "net " << v << " cap " << cap;
-  }
-}
-
-TEST(Filter, RefreshAfterCouplingEditMatchesRebuild) {
-  Generated g(31);
-  layout::Parasitics& par = g.ckt.parasitics;
-  const auto sides = g.sides();
-  NoiseAnalyzer analyzer(*g.ckt.netlist, par, g.model);
-  EnvelopeBuilder builder(*g.ckt.netlist, par, g.calc, g.sta.windows);
-  AggressorFilter filter(*g.ckt.netlist, par, analyzer, builder, {}, 4);
-
-  // Zero a coupling that is live on both sides, then refresh its endpoints
-  // the way a session does after an edit (windows held fixed).
-  layout::CapId edit = 0;
-  while (filter.is_false(par.coupling(edit).net_a, edit) ||
-         filter.is_false(par.coupling(edit).net_b, edit)) {
-    ++edit;
-    ASSERT_LT(edit, par.num_couplings());
-  }
-  const std::size_t before = filter.num_filtered();
-  par.zero_coupling(edit);
-  const std::vector<net::NetId> nets = {par.coupling(edit).net_a,
-                                        par.coupling(edit).net_b};
-  filter.refresh(nets, analyzer, builder);
-  EXPECT_TRUE(filter.is_false(nets[0], edit));
-  EXPECT_TRUE(filter.is_false(nets[1], edit));
-  EXPECT_GE(filter.num_filtered(), before + 2);
-
-  const AggressorFilter fresh(*g.ckt.netlist, par, analyzer, builder, {}, 1);
-  EXPECT_EQ(filter.num_filtered(), fresh.num_filtered());
-  for (const auto& [v, cap] : sides) {
-    EXPECT_EQ(filter.is_false(v, cap), fresh.is_false(v, cap))
-        << "net " << v << " cap " << cap;
-  }
+  EXPECT_TRUE(false_side(fx, "c0_n0", dead));
+  EXPECT_TRUE(false_side(fx, "c0_n1", tiny));
 }
 
 }  // namespace

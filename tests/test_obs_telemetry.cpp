@@ -46,11 +46,43 @@ json::Value parse_or_fail(const std::string& text) {
 // buckets sum to the lane's wall time up to scheduler/bookkeeping slop.
 // The shared pool is process-wide, so its worker lanes may predate this
 // test: every worker lane in the delta is checked, not only new ones.
+//
+// Each round is a two-chunk loop on three lanes. A chunk on a worker
+// sleeps; the chunk on the calling thread returns only once a worker's
+// chunk has started, so the caller always finishes first and waits at the
+// barrier. Rounds repeat until the caller has run a chunk in three of them
+// (a worker can steal the caller's chunk before the caller takes it).
 TEST(Telemetry, WorkerBucketsSumToWall) {
+  const std::thread::id caller = std::this_thread::get_id();
   const std::vector<runtime::LaneCounters> before = runtime::lane_snapshot();
-  for (int round = 0; round < 3; ++round) {
+  int caller_rounds = 0;
+  for (int round = 0; caller_rounds < 3; ++round) {
+    ASSERT_LT(round, 100) << "the caller never ran a chunk";
+    std::atomic<bool> worker_started{false};
+    std::atomic<bool> caller_ran{false};
+    std::atomic<bool> timed_out{false};
     runtime::parallel_for(
-        3, 0, 6, [](std::size_t) { sleep_ms(5); }, /*grain=*/1);
+        3, 0, 2,
+        [&](std::size_t) {
+          if (std::this_thread::get_id() != caller) {
+            worker_started = true;
+            sleep_ms(5);
+            return;
+          }
+          caller_ran = true;
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (!worker_started) {
+            if (std::chrono::steady_clock::now() > deadline) {
+              timed_out = true;
+              return;
+            }
+            std::this_thread::yield();
+          }
+        },
+        /*grain=*/1);
+    ASSERT_FALSE(timed_out) << "no worker started a chunk within 10 s";
+    if (caller_ran) ++caller_rounds;
     sleep_ms(5);  // park the workers so queue-idle shows up too
   }
   const std::vector<runtime::LaneCounters> after = runtime::lane_snapshot();

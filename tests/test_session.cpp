@@ -2,19 +2,24 @@
 // must match a one-shot session's, and incremental what_if() queries must
 // be bit-identical to a one-shot run on the edited design — at every
 // thread count — while reusing the warm envelope caches outside the edit
-// cone.
+// cone. BaselineStage's warm refresh is also checked on its own against a
+// cold prime.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <optional>
 #include <vector>
 
 #include "fixtures.hpp"
 #include "gen/circuit_generator.hpp"
+#include "noise/coupling_calc.hpp"
 #include "obs/obs.hpp"
 #include "session/analysis_session.hpp"
 #include "sta/analyzer.hpp"
+#include "topk/stages/baseline_stage.hpp"
 #include "util/assert.hpp"
 
 namespace tka::session {
@@ -301,6 +306,106 @@ TEST(Session, WhatIfUnderSlackGateAndPrimaryCap) {
         }
         result = s.what_if(steps[step]);
         expect_identical(result, references[step]);
+      }
+    }
+  }
+}
+
+// A generated design with the delay model and calculator BaselineStage
+// reads. Not movable: the model and calculator point into the circuit.
+struct StageDesign {
+  gen::GeneratedCircuit gc;
+  sta::DelayModel model;
+  noise::AnalyticCouplingCalculator calc;
+  explicit StageDesign(const gen::GeneratorParams& params)
+      : gc(gen::generate_circuit(params)),
+        model(*gc.netlist, gc.parasitics),
+        calc(gc.parasitics, model) {}
+  StageDesign(const StageDesign&) = delete;
+  topk::stages::DesignRef ref() const {
+    return {gc.netlist.get(), &gc.parasitics, &model, &calc};
+  }
+};
+
+// The per-victim baseline state enumeration reads: active couplings (false
+// aggressors dropped, cut to the primary cap), local upper bounds,
+// slack-gate verdicts and dominance intervals.
+void expect_same_baseline(const topk::stages::BaselineState& got,
+                          const topk::stages::BaselineState& want) {
+  EXPECT_EQ(got.active_caps, want.active_caps);
+  EXPECT_EQ(got.local_ub, want.local_ub);
+  EXPECT_EQ(got.full_victim, want.full_victim);
+  ASSERT_EQ(got.iv.size(), want.iv.size());
+  for (std::size_t v = 0; v < got.iv.size(); ++v) {
+    EXPECT_EQ(got.iv[v].lo, want.iv[v].lo) << "net " << v;
+    EXPECT_EQ(got.iv[v].hi, want.iv[v].hi) << "net " << v;
+  }
+}
+
+// After each of five zero/shield edits, a warm BaselineStage::refresh must
+// leave the state a cold prime builds on an independently edited copy, in
+// both modes at threads 1 and 4; the 4-thread cold prime must equal the
+// 1-thread one. The region victims' false aggressors are decided in the
+// same pass as the rest of their state.
+TEST(BaselineStage, RefreshMatchesPrimeOnEditedDesign) {
+  using topk::stages::BaselineStage;
+  using topk::stages::BaselineState;
+  gen::GeneratorParams params;
+  params.name = "baseline_stage";
+  params.num_gates = 120;
+  params.target_couplings = 300;
+  params.seed = 7;
+  const gen::GeneratedCircuit gc = gen::generate_circuit(params);
+  const double noiseless =
+      sta::run_sta(*gc.netlist, sta::DelayModel(*gc.netlist, gc.parasitics),
+                   gc.sta_options())
+          .max_lat;
+  const layout::CapId edits[] = {3, 41, 97, 150, 211};
+  for (topk::Mode mode : {topk::Mode::kAddition, topk::Mode::kElimination}) {
+    auto stage_options = [&](const StageDesign& d, int threads) {
+      topk::TopkOptions opt = options(d.gc, 3, mode, threads);
+      opt.max_primary_per_victim = 3;
+      opt.victim_slack_threshold = 0.1 * noiseless;
+      opt.iterative.threads = threads;
+      return opt;
+    };
+    auto prime = [&](const StageDesign& d, int threads, BaselineState* state) {
+      const topk::TopkOptions opt = stage_options(d, threads);
+      BaselineStage::prime(d.ref(), opt, opt.iterative, state);
+    };
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "mode " << static_cast<int>(mode)
+                                      << " threads " << threads);
+      StageDesign warm(params);
+      BaselineState state;
+      prime(warm, threads, &state);
+      if (threads > 1) {
+        StageDesign serial_design(params);
+        BaselineState serial;
+        prime(serial_design, 1, &serial);
+        expect_same_baseline(state, serial);
+      }
+      StageDesign cold(params);
+      for (std::size_t e = 0; e < std::size(edits); ++e) {
+        SCOPED_TRACE(testing::Message() << "edit " << e);
+        const layout::CapId cap = edits[e];
+        for (StageDesign* d : {&warm, &cold}) {
+          if (e % 2 == 0) {
+            d->gc.parasitics.zero_coupling(cap);
+          } else {
+            d->gc.parasitics.shield_coupling(cap);
+          }
+        }
+        const layout::CouplingCap& cc = warm.gc.parasitics.coupling(cap);
+        std::vector<net::NetId> nets = {cc.net_a, cc.net_b};
+        std::sort(nets.begin(), nets.end());
+        const layout::CapId caps[] = {cap};
+        std::vector<net::NetId> seeds;
+        BaselineStage::refresh(warm.ref(), stage_options(warm, threads), nets,
+                               caps, &state, &seeds);
+        BaselineState want;
+        prime(cold, threads, &want);
+        expect_same_baseline(state, want);
       }
     }
   }
