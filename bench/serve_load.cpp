@@ -17,7 +17,7 @@
 // stamp, checking the stamps a connection observes never go backwards
 // (snapshot isolation: the head only advances), and byte-comparing the
 // payload against the expected render precomputed for that exact epoch
-// from a local warm writer chain. The scale tier has its own committed
+// from a local warm session chain. The scale tier has its own committed
 // baseline (bench/baselines/scale/) gated with a tight peak-RSS
 // threshold — shared COW snapshots are the point of the serving design,
 // so the footprint is a first-class result there.
@@ -281,8 +281,8 @@ int main(int argc, char** argv) {
   // ---- what_if commit path: serial epoch advances + read storm at the
   // final epoch. A commit mutates the shard, so each rep gets a fresh
   // server; the expected chain comes from a warm local session driven with
-  // the same edits (the writer path), the post-edit storm from a fresh
-  // local session on the edited design (the replica path).
+  // the same edits, the post-edit storm from a fresh one-shot session on
+  // the edited design.
   Row commit_row{"whatif_commits", 4, {}};
   std::vector<double> commit_lat_ms;
   const bool commit_ran = h.run_case("whatif_commits", [&](bench::Reporter& r) {
@@ -298,8 +298,8 @@ int main(int argc, char** argv) {
       return;
     }
 
-    // The expected writer chain: prime once, then one what_if per edit —
-    // exactly what the shard's warm writer session does.
+    // The expected commit chain: prime once, then one what_if per edit, as
+    // the shard's elimination session does on each commit.
     session::AnalysisSession writer(*ch.netlist, ch.parasitics, model_opt,
                                     session::SessionOptions{
                                         .retain_candidates = true});
@@ -352,8 +352,8 @@ int main(int argc, char** argv) {
     }
     client.close();
 
-    // Replica-path expectation at the final epoch: base + all edits, fresh
-    // one-shot session (what sync_replica builds for readers).
+    // The expectation at the final epoch: base + all edits, a fresh
+    // one-shot session.
     net::Netlist edited_nl(*ch.netlist);
     layout::Parasitics edited_par(ch.parasitics);
     for (layout::CapId cap : shielded) edited_par.shield_coupling(cap);
@@ -399,7 +399,7 @@ int main(int argc, char** argv) {
   // epoch while the reader storm runs, so a reader cannot predict which
   // epoch answers it — but whatever epoch the server stamps, the payload
   // must be byte-identical to the expected render precomputed for that
-  // epoch from a local warm writer chain, and the stamps one connection
+  // epoch from a local warm session chain, and the stamps one connection
   // observes must never go backwards (a closed-loop client's next request
   // pins the head at or past its previous answer's epoch). Readers keep
   // reading until the commits land, so the storm always spans the whole
@@ -425,8 +425,8 @@ int main(int argc, char** argv) {
         return;
       }
 
-      // Expected "result" fragment per epoch, from the same prime +
-      // what_if replay the shard's warm writer performs.
+      // Expected "result" fragment per epoch, from a local prime + one
+      // what_if per commit.
       session::AnalysisSession writer(*ch.netlist, ch.parasitics, model_opt,
                                       session::SessionOptions{
                                           .retain_candidates = true});

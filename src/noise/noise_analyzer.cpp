@@ -106,16 +106,6 @@ double NoiseAnalyzer::delay_noise_upper_bound(net::NetId victim,
   return delay_noise(vic, env, vdd(), w.lat);
 }
 
-wave::DominanceInterval NoiseAnalyzer::dominance_interval(
-    net::NetId victim, const EnvelopeBuilder& builder,
-    const CouplingMask& mask) const {
-  const sta::TimingWindow& w = builder.windows()[victim];
-  wave::DominanceInterval iv;
-  iv.lo = w.lat;  // noiseless victim t50
-  iv.hi = w.lat + delay_noise_upper_bound(victim, builder, mask);
-  return iv;
-}
-
 bool is_false_aggressor(const layout::Parasitics& par,
                         const EnvelopeBuilder& builder, net::NetId victim,
                         layout::CapId cap, double upper_bound) {

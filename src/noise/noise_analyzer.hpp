@@ -82,15 +82,11 @@ class NoiseAnalyzer {
 
   /// Upper bound on the victim's delay noise: all active aggressors given
   /// infinite timing windows (plateau envelopes across the victim's
-  /// switching region). Closes the dominance interval (paper §3.2).
+  /// switching region). Closes the dominance interval (paper §3.2), which
+  /// the baseline stage builds from it.
   double delay_noise_upper_bound(net::NetId victim,
                                  const EnvelopeBuilder& builder,
                                  const CouplingMask& mask) const;
-
-  /// Dominance interval for the victim: [noiseless t50, t50 + upper bound].
-  wave::DominanceInterval dominance_interval(net::NetId victim,
-                                             const EnvelopeBuilder& builder,
-                                             const CouplingMask& mask) const;
 
   double vdd() const { return model_->options().vdd; }
 

@@ -1,21 +1,21 @@
 #include "server/shard.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <utility>
 
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
+#include "util/string_util.hpp"
 
 namespace tka::server {
 namespace {
 
-/// Longest edit-log tail a warm worker session catches up by what_if
-/// replay; beyond it the session is rebuilt from the head.
-constexpr std::size_t kMaxReplayEdits = 16;
 /// Most queued topk reads drained into one coalesced batch.
 constexpr std::size_t kCoalesceMax = 16;
 
-/// A retaining session (what_if replay stays available) over `snap`'s design.
+/// A retaining session (what_if and any-k answers stay available) over
+/// `snap`'s design.
 std::unique_ptr<session::AnalysisSession> session_over(
     const session::DesignSnapshot& snap) {
   return std::make_unique<session::AnalysisSession>(
@@ -32,7 +32,8 @@ Shard::Shard(std::string name, std::unique_ptr<net::Netlist> nl,
       base_opt_(base_opt),
       opt_(opt),
       head_(session::DesignSnapshot::make_base(std::move(*nl), std::move(par),
-                                               model_opt)) {
+                                               model_opt)),
+      num_couplings_(head_->parasitics().num_couplings()) {
   const int n = opt_.workers < 1 ? 1 : opt_.workers;
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -43,6 +44,14 @@ Shard::Shard(std::string name, std::unique_ptr<net::Netlist> nl,
 Shard::~Shard() { join(); }
 
 bool Shard::submit(Request req, Respond respond) {
+  if (static_cast<std::size_t>(req.k) > num_couplings_) {
+    obs::registry().counter("server.responses_error").add();
+    respond(make_error_response(
+        req.id, ErrorCode::kBadRequest,
+        str::format("'k' = %d exceeds the design's %zu couplings", req.k,
+                    num_couplings_)));
+    return true;
+  }
   const std::int64_t now = obs::now_ns();
   std::size_t depth = 0;
   {
@@ -70,11 +79,10 @@ void Shard::join() {
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
   }
-  // Workers released their sessions on exit; drop the warm writer too so a
-  // drained shard holds only its head snapshot.
-  {
-    std::lock_guard<std::mutex> writer_lock(writer_mu_);
-    writer_.reset();
+  // Drop the mode sessions so a drained shard holds only its head snapshot.
+  for (ModeSession& ms : sessions_) {
+    std::lock_guard<std::mutex> lock(ms.mu);
+    ms.session.reset();
   }
   session::DesignSnapshot::publish_gauges();
 }
@@ -89,13 +97,7 @@ std::size_t Shard::queue_depth() const {
   return queue_.size();
 }
 
-std::shared_ptr<const session::DesignSnapshot> Shard::head() const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return head_;
-}
-
 void Shard::worker_loop() {
-  WorkerState ws;
   std::vector<Job> batch;
   while (true) {
     batch.clear();
@@ -106,19 +108,21 @@ void Shard::worker_loop() {
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
       if (batch.front().req.op != "what_if") {
-        // Coalesce the run of compatible reads queued behind this one.
-        // Stop at the first what_if (or incompatible read) so committed
-        // edits keep their admission-order position. k and mode are copied
-        // out: push_back may reallocate the batch under a reference.
-        const int k = batch.front().req.k;
+        // Coalesce the queued reads of the same mode, any k. Stop at the
+        // first what_if so committed edits keep their admission-order
+        // position; reads of the other mode stay queued for another
+        // worker. The mode is copied out: push_back may reallocate the
+        // batch under a reference.
         const topk::Mode mode = batch.front().req.mode;
-        while (!queue_.empty() && batch.size() < kCoalesceMax) {
-          const Request& next = queue_.front().req;
-          if (next.op == "what_if" || next.k != k || next.mode != mode) {
-            break;
+        for (auto it = queue_.begin();
+             it != queue_.end() && batch.size() < kCoalesceMax;) {
+          if (it->req.op == "what_if") break;
+          if (it->req.mode != mode) {
+            ++it;
+            continue;
           }
-          batch.push_back(std::move(queue_.front()));
-          queue_.pop_front();
+          batch.push_back(std::move(*it));
+          it = queue_.erase(it);
         }
       }
       obs::registry().gauge("server.queue_depth." + name_)
@@ -128,11 +132,11 @@ void Shard::worker_loop() {
       obs::registry().counter("server.coalesced_batches").add();
       obs::registry().counter("server.coalesced_reads").add(batch.size() - 1);
     }
-    serve_batch(ws, batch);
+    serve_batch(batch);
   }
 }
 
-void Shard::serve_batch(WorkerState& ws, std::vector<Job>& batch) {
+void Shard::serve_batch(std::vector<Job>& batch) {
   const std::int64_t start = obs::now_ns();
   obs::Histogram& queue_wait = obs::registry().histogram("server.queue_wait_s");
   for (const Job& job : batch) {
@@ -140,15 +144,12 @@ void Shard::serve_batch(WorkerState& ws, std::vector<Job>& batch) {
   }
 
   const bool is_what_if = batch.front().req.op == "what_if";
-  std::uint64_t epoch = 0;
-  std::string extra;   // shared "result": {...} fragment for topk batches
-  std::string error;   // whole response (what_if / failure), single job
+  std::vector<std::string> responses(batch.size());
   try {
     if (is_what_if) {
-      error = serve_what_if(batch.front().req, &epoch);
+      responses.front() = serve_what_if(batch.front().req);
     } else {
-      extra = topk_result_extra(ws, batch.front().req.k,
-                                batch.front().req.mode, &epoch);
+      serve_reads(batch, &responses);
     }
   } catch (const std::exception& e) {
     for (Job& job : batch) {
@@ -161,125 +162,151 @@ void Shard::serve_batch(WorkerState& ws, std::vector<Job>& batch) {
 
   obs::Histogram& latency = obs::registry().histogram(
       is_what_if ? "server.latency.whatif_s" : "server.latency.topk_s");
-  for (Job& job : batch) {
-    std::string response = is_what_if
-                               ? std::move(error)
-                               : make_ok_response(job.req.id, epoch, extra);
-    const bool ok = response.find("\"ok\": true") != std::string::npos;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const bool ok = responses[i].find("\"ok\": true") != std::string::npos;
     obs::registry()
         .counter(ok ? "server.responses_ok" : "server.responses_error")
         .add();
     latency.observe(obs::ns_to_seconds(obs::now_ns() - start));
-    job.respond(std::move(response));
+    batch[i].respond(std::move(responses[i]));
   }
 }
 
-std::string Shard::topk_result_extra(WorkerState& ws, int k, topk::Mode mode,
-                                     std::uint64_t* epoch_out) {
-  // Pin the head and copy the log tail the warm session has not applied.
-  std::shared_ptr<const session::DesignSnapshot> head;
-  std::vector<session::WhatIfEdit> pending;
-  const bool warm = ws.session != nullptr && ws.k == k && ws.mode == mode;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    head = head_;
-    if (warm && ws.epoch < head_->epoch()) {
-      pending.assign(
-          edit_log_.begin() + static_cast<std::ptrdiff_t>(ws.epoch),
-          edit_log_.end());
+void Shard::serve_reads(const std::vector<Job>& batch,
+                        std::vector<std::string>* responses) {
+  const topk::Mode mode = batch.front().req.mode;
+  std::vector<int> ks;
+  for (const Job& job : batch) ks.push_back(job.req.k);
+  std::sort(ks.begin(), ks.end());
+  ks.erase(std::unique(ks.begin(), ks.end()), ks.end());
+  std::vector<std::uint64_t> epochs(ks.size());
+  std::vector<std::string> extras(ks.size());
+  obs::Counter& hits = obs::registry().counter("server.result_cache_hits");
+  obs::Counter& misses = obs::registry().counter("server.result_cache_misses");
+
+  // The render cache first, without the session lock: a read it answers
+  // never waits behind a query running on the mode's session.
+  std::vector<std::size_t> todo;
+  const std::uint64_t seen = epoch();
+  for (std::size_t i = 0; i < ks.size(); ++i) {
+    if (cache_lookup(seen, ks[i], mode, &extras[i])) {
+      hits.add();
+      epochs[i] = seen;
+    } else {
+      todo.push_back(i);
     }
   }
-  const std::uint64_t epoch = head->epoch();
-  *epoch_out = epoch;
-
-  std::string extra;
-  if (cache_lookup(epoch, k, mode, &extra)) {
-    obs::registry().counter("server.result_cache_hits").add();
-    return extra;
-  }
-  obs::registry().counter("server.result_cache_misses").add();
-
-  topk::TopkOptions opt = base_opt_;
-  opt.k = k;
-  opt.mode = mode;
-  opt.threads = opt_.query_threads;
-
-  topk::TopkResult result;
-  if (warm && ws.epoch == epoch) {
-    // Current design, same options, cache evicted: recompute on the warm
-    // session (run() is a cold query but reuses the session's storage).
-    result = ws.session->run(opt);
-  } else if (warm && !pending.empty() &&
-             pending.size() <= kMaxReplayEdits) {
-    // Warm rebase: replay the committed tail through what_if. Each replay
-    // is bit-identical to a cold run at that epoch (the session contract),
-    // so the final replay's result *is* the answer at the head epoch.
-    obs::registry().counter("server.session_rebases").add();
-    obs::registry().counter("server.replayed_edits").add(pending.size());
-    for (const session::WhatIfEdit& edit : pending) {
-      result = ws.session->what_if(edit);
+  if (!todo.empty()) {
+    ModeSession& ms = mode_session(mode);
+    std::lock_guard<std::mutex> lock(ms.mu);
+    // The head may have moved while this worker waited for the lock, and
+    // another worker may have answered at it meanwhile.
+    std::vector<session::WhatIfEdit> tail;
+    const std::shared_ptr<const session::DesignSnapshot> head =
+        pin_head(ms, &tail);
+    for (std::size_t i : todo) {
+      epochs[i] = head->epoch();
+      if (cache_lookup(epochs[i], ks[i], mode, &extras[i])) {
+        hits.add();
+        continue;
+      }
+      misses.add();
+      const topk::TopkResult result =
+          advance(ms, *head, std::move(tail), nullptr, ks[i], mode);
+      tail.clear();  // the session is at the head now
+      extras[i] = "\"result\": " +
+                  render_topk_result(ms.session->netlist(),
+                                     ms.session->parasitics(), result, ks[i]);
+      cache_insert(epochs[i], ks[i], mode, extras[i]);
     }
-    ws.epoch = epoch;
-  } else {
-    // No session, k/mode change, or a tail too long to replay: rebuild
-    // from the pinned head.
-    obs::registry().counter("server.session_rebuilds").add();
-    ws.session = session_over(*head);
-    result = ws.session->run(opt);
-    ws.epoch = epoch;
-    ws.k = k;
-    ws.mode = mode;
   }
 
-  extra = "\"result\": " + render_topk_result(ws.session->netlist(),
-                                              ws.session->parasitics(), result,
-                                              k);
-  cache_insert(epoch, k, mode, extra);
-  return extra;
+  for (std::size_t j = 0; j < batch.size(); ++j) {
+    const std::size_t i = static_cast<std::size_t>(
+        std::lower_bound(ks.begin(), ks.end(), batch[j].req.k) - ks.begin());
+    (*responses)[j] = make_ok_response(batch[j].req.id, epochs[i], extras[i]);
+  }
 }
 
-std::string Shard::serve_what_if(const Request& req,
-                                 std::uint64_t* epoch_out) {
-  std::lock_guard<std::mutex> writer_lock(writer_mu_);
-  // A refused edit never reaches the writer: sizes and cells are checked
-  // against the head, which equals the writer's design.
-  const std::shared_ptr<const session::DesignSnapshot> snap = head();
+std::string Shard::serve_what_if(const Request& req) {
+  ModeSession& ms = mode_session(req.mode);
+  std::scoped_lock lock(commit_mu_, ms.mu);
+  std::vector<session::WhatIfEdit> tail;
+  const std::shared_ptr<const session::DesignSnapshot> snap =
+      pin_head(ms, &tail);
+  // A refused edit never reaches a session: ids, sizes and cells are
+  // checked against the head, whose design the session reaches first.
   std::string bad;
   if (!session::check_edit(snap->netlist(), snap->parasitics(), req.edit,
                            &bad)) {
-    *epoch_out = snap->epoch();
     return make_error_response(req.id, ErrorCode::kBadRequest, bad);
   }
-  if (writer_ == nullptr || writer_k_ != req.k || writer_mode_ != req.mode) {
-    // (Re)base the warm writer on the head snapshot. Only the writer
-    // advances the head and only under writer_mu_, so its design equals
-    // the committed state by construction.
-    writer_ = session_over(*snap);
-    topk::TopkOptions opt = base_opt_;
-    opt.k = req.k;
-    opt.mode = req.mode;
-    opt.threads = opt_.query_threads;
-    writer_->run(opt);  // priming query; what_if reuses these options
-    writer_k_ = req.k;
-    writer_mode_ = req.mode;
-  }
-  const topk::TopkResult result = writer_->what_if(req.edit);
+  const topk::TopkResult result =
+      advance(ms, *snap, std::move(tail), &req.edit, req.k, req.mode);
   std::uint64_t new_epoch = 0;
   {
     // Commit: publish the COW successor snapshot. It becomes visible to
-    // readers only after the writer applied the edit successfully.
-    std::lock_guard<std::mutex> lock(state_mu_);
+    // readers only after the session applied the edit successfully, and
+    // only commits (serialized on commit_mu_) move the head, so it is
+    // snap's successor.
+    std::lock_guard<std::mutex> state_lock(state_mu_);
     edit_log_.push_back(req.edit);
     head_ = head_->apply(req.edit);
     new_epoch = head_->epoch();
   }
+  ms.epoch = new_epoch;
   obs::registry().counter("server.snapshot_publishes").add();
-  *epoch_out = new_epoch;
   return make_ok_response(
       req.id, new_epoch,
-      "\"result\": " + render_topk_result(writer_->netlist(),
-                                          writer_->parasitics(), result,
+      "\"result\": " + render_topk_result(ms.session->netlist(),
+                                          ms.session->parasitics(), result,
                                           req.k));
+}
+
+Shard::ModeSession& Shard::mode_session(topk::Mode mode) {
+  return sessions_[mode == topk::Mode::kAddition ? 1 : 0];
+}
+
+std::shared_ptr<const session::DesignSnapshot> Shard::pin_head(
+    const ModeSession& ms, std::vector<session::WhatIfEdit>* tail) const {
+  std::lock_guard<std::mutex> lock(state_mu_);
+  if (ms.session != nullptr) {
+    tail->assign(edit_log_.begin() + static_cast<std::ptrdiff_t>(ms.epoch),
+                 edit_log_.end());
+  }
+  return head_;
+}
+
+topk::TopkResult Shard::advance(ModeSession& ms,
+                                const session::DesignSnapshot& head,
+                                std::vector<session::WhatIfEdit> tail,
+                                const session::WhatIfEdit* edit, int k,
+                                topk::Mode mode) {
+  obs::MetricsRegistry& reg = obs::registry();
+  try {
+    if (ms.session == nullptr) {
+      reg.counter("server.session_rebuilds").add();
+      topk::TopkOptions opt = base_opt_;
+      opt.k = k;
+      opt.mode = mode;
+      opt.threads = opt_.query_threads;
+      ms.session = session_over(head);
+      ms.epoch = head.epoch();
+      topk::TopkResult primed = ms.session->run(opt);
+      if (edit == nullptr) return primed;
+    } else if (!tail.empty()) {
+      reg.counter("server.session_rebases").add();
+      reg.counter("server.replayed_edits").add(tail.size());
+    }
+    if (edit != nullptr) tail.push_back(*edit);
+    topk::TopkResult result = ms.session->what_if(tail, k);
+    ms.epoch = head.epoch();
+    return result;
+  } catch (...) {
+    // The session may hold a half-applied batch: its next use re-primes.
+    ms.session.reset();
+    throw;
+  }
 }
 
 bool Shard::cache_lookup(std::uint64_t epoch, int k, topk::Mode mode,

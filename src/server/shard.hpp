@@ -12,25 +12,36 @@
 // so the chain costs O(design + edits) memory no matter how many workers
 // serve it.
 //
-// Worker sessions are warm: a session whose last query matched the
-// request's k/mode catches up to the head by replaying the pending edit-
-// log tail through AnalysisSession::what_if (bit-identical to a cold run
-// by the session contract), keeping every cache it built. Only a k/mode
-// change or a long tail falls back to rebuilding from COW copies of the
-// pinned head — O(chunk table). The copies hold their chunks themselves,
-// so an idle session keeps no snapshot alive.
+// Mode sessions. The shard keeps one warm, retaining AnalysisSession per
+// mode, each under its own mutex and shared by every worker. A session
+// holds COW copies of the design at its own epoch and answers any k there
+// (AnalysisSession keeps every cardinality up to the largest k it
+// answered); to serve at the head it first catches up with one batched
+// what_if over the edit-log tail it has not applied, bit-identical to a
+// cold run by the session contract. A mode's first use primes its session
+// from COW copies of the pinned head — O(chunk table) — and so does the
+// next use after a session call throws, which drops the session. The
+// copies hold their chunks themselves, so a session keeps no snapshot
+// alive. Commits go through their mode's session too: under the shard's
+// commit mutex it applies its pending tail plus the new edit, and the head
+// advances only once that succeeded.
 //
-// Read coalescing. When a worker pops a topk job it also drains the
-// compatible run of queued topk jobs behind it (same k and mode, stopping
-// at the first what_if to preserve admission order); the batch is answered
-// with one session catch-up and one sweep-graph drain, then each job gets
-// its own response. A small per-shard render cache keyed (epoch, k, mode)
-// short-circuits repeats that were not queued at the same instant. Both
-// are safe under the bit-identity contract: a rendered result is a
+// Read coalescing. When a worker pops a topk job it also drains the queued
+// topk jobs of the same mode behind it, any k, stopping at the first
+// what_if to preserve admission order; the batch is answered with one
+// session catch-up and one answer per distinct k, then each job gets its
+// own response. A small per-shard render cache keyed (epoch, k, mode) is
+// checked before a read takes its mode's session lock, so repeats that
+// were not queued at the same instant never wait behind a running query.
+// Both are safe under the bit-identity contract: a rendered result is a
 // deterministic function of (epoch, k, mode).
 //
-// Admission control. submit() enqueues or refuses: a full queue is the
-// typed `overloaded` error, cheap to produce and immediate, so a saturated
+// Admission control. submit() enqueues, refuses or answers at once. A
+// request whose k exceeds the design's coupling count is a typed
+// `bad_request` before any session sees it: a k-set cannot hold more
+// distinct couplings than the design has, and a session grown to a larger
+// k would hold that memory for every later read. A full queue is the typed
+// `overloaded` error, cheap to produce and immediate, so a saturated
 // server sheds load at the door instead of growing an unbounded backlog.
 // Draining flips accepting_ off; queued work still completes, then workers
 // exit and join() returns.
@@ -79,22 +90,21 @@ class Shard {
   /// Delivers the complete response payload (JSON text, unframed).
   using Respond = std::function<void(std::string)>;
 
-  /// Enqueues a parsed topk/what_if request. Returns false when the queue
-  /// is full or the shard is draining — the caller renders the typed
-  /// rejection itself (it knows whether the server is draining).
+  /// Enqueues a parsed topk/what_if request, or answers a k beyond the
+  /// design's coupling count with bad_request at once. Returns false when
+  /// the queue is full or the shard is draining — the caller renders the
+  /// typed rejection itself (it knows whether the server is draining).
   bool submit(Request req, Respond respond);
 
   /// Stops admission. Queued queries still run to completion.
   void begin_drain();
-  /// Joins the workers after the queue runs dry, then releases the warm
-  /// writer so only the head snapshot stays held. Implies begin_drain().
+  /// Joins the workers after the queue runs dry, then releases the mode
+  /// sessions so only the head snapshot stays held. Implies begin_drain().
   void join();
 
   const std::string& name() const { return name_; }
   std::uint64_t epoch() const;
   std::size_t queue_depth() const;
-  /// The current head snapshot (pins it for the caller).
-  std::shared_ptr<const session::DesignSnapshot> head() const;
 
  private:
   struct Job {
@@ -103,25 +113,40 @@ class Shard {
     std::int64_t enqueued_ns = 0;
   };
 
-  /// A worker's warm session state. The session holds COW copies of the
-  /// design it was built from and advances past it via what_if replay;
-  /// `epoch`/`k`/`mode` describe the design state and options of its last
-  /// completed query.
-  struct WorkerState {
+  /// One mode's warm session and the epoch of the design it holds. Every
+  /// call on the session, and every read or write of either field, holds
+  /// `mu`.
+  struct ModeSession {
+    std::mutex mu;
     std::unique_ptr<session::AnalysisSession> session;
     std::uint64_t epoch = 0;
-    int k = 0;
-    topk::Mode mode = topk::Mode::kElimination;
   };
 
   void worker_loop();
-  /// Serves a coalesced batch of topk jobs (size 1 for what_if).
-  void serve_batch(WorkerState& ws, std::vector<Job>& batch);
-  /// Computes (or fetches from the render cache) the `"result": {...}`
-  /// payload fragment for a topk read at the current head epoch.
-  std::string topk_result_extra(WorkerState& ws, int k, topk::Mode mode,
-                                std::uint64_t* epoch_out);
-  std::string serve_what_if(const Request& req, std::uint64_t* epoch_out);
+  /// Serves a coalesced batch: topk jobs of one mode, or one what_if.
+  void serve_batch(std::vector<Job>& batch);
+  /// Renders the responses of a batch of topk jobs of one mode: one answer
+  /// per distinct k, each from the render cache when it holds the head's,
+  /// else from the mode's session caught up to the head.
+  void serve_reads(const std::vector<Job>& batch,
+                   std::vector<std::string>* responses);
+  std::string serve_what_if(const Request& req);
+
+  ModeSession& mode_session(topk::Mode mode);
+  /// Pins the head and copies the edit-log tail `ms` has not applied (none
+  /// when it has no session). Requires ms.mu.
+  std::shared_ptr<const session::DesignSnapshot> pin_head(
+      const ModeSession& ms, std::vector<session::WhatIfEdit>* tail) const;
+  /// Brings `ms` to `head` plus `edit` (a commit's; nullptr for a read) and
+  /// answers at k there. A session-less `ms` primes from the head (its
+  /// `tail` is empty); any other applies `tail`, the log edits it has not,
+  /// then `edit`, in one batched what_if. A throwing session call drops the
+  /// session. Requires ms.mu.
+  topk::TopkResult advance(ModeSession& ms,
+                           const session::DesignSnapshot& head,
+                           std::vector<session::WhatIfEdit> tail,
+                           const session::WhatIfEdit* edit, int k,
+                           topk::Mode mode);
 
   bool cache_lookup(std::uint64_t epoch, int k, topk::Mode mode,
                     std::string* extra);
@@ -138,13 +163,13 @@ class Shard {
   mutable std::mutex state_mu_;
   std::shared_ptr<const session::DesignSnapshot> head_;
   std::vector<session::WhatIfEdit> edit_log_;
+  /// The design's coupling count: no k-set is larger. Edits keep it.
+  const std::size_t num_couplings_;
 
-  // The warm incremental writer; all what_if commits serialize on it. Its
-  // design always equals the head (every commit goes through it).
-  std::mutex writer_mu_;
-  std::unique_ptr<session::AnalysisSession> writer_;
-  int writer_k_ = 0;
-  topk::Mode writer_mode_ = topk::Mode::kElimination;
+  // Commits serialize here, then take their mode's session lock; only a
+  // commit advances the head. Reads take a mode session lock alone.
+  std::mutex commit_mu_;
+  ModeSession sessions_[2];  // [elimination, addition]
 
   // Rendered-result cache, keyed (epoch, k, mode); FIFO-bounded.
   struct CacheEntry {

@@ -71,7 +71,6 @@ AnalysisSession::AnalysisSession(net::Netlist nl, layout::Parasitics par,
       par_(std::move(par)),
       model_(nl_, par_, model_options),
       calc_(par_, model_),
-      design_{&nl_, &par_, &model_, &calc_},
       sopt_(options) {}
 
 AnalysisSession::~AnalysisSession() = default;
@@ -82,47 +81,65 @@ const noise::NoiseReport& AnalysisSession::baseline_report() const {
 }
 
 topk::TopkResult AnalysisSession::run(const topk::TopkOptions& options) {
+  TKA_CHECK(options.k >= 1, "run: k must be at least 1");
   opt_ = options;
-  threads_ = runtime::resolve_threads(opt_.threads);
+  opt_.threads = runtime::resolve_threads(opt_.threads);
   // The fixpoints the pipeline launches (baseline, re-evaluation) inherit
   // the run's worker count unless the caller pinned their own.
-  iter_opt_ = opt_.iterative;
-  if (iter_opt_.threads == 0) iter_opt_.threads = threads_;
+  if (opt_.iterative.threads == 0) opt_.iterative.threads = opt_.threads;
   primed_ = false;
-  topk::TopkResult result = query(nullptr);
+  topk::TopkResult result =
+      query(/*cold=*/true, nullptr, static_cast<std::size_t>(opt_.k));
   primed_ = true;
   return result;
 }
 
 topk::TopkResult AnalysisSession::what_if(const WhatIfEdit& edit) {
+  return what_if(std::span<const WhatIfEdit>(&edit, 1), opt_.k);
+}
+
+topk::TopkResult AnalysisSession::what_if(std::span<const WhatIfEdit> edits,
+                                          int k) {
   TKA_CHECK(primed_, "what_if requires a primed session (call run() first)");
   TKA_CHECK(sopt_.retain_candidates,
             "what_if requires SessionOptions::retain_candidates");
-  std::string why;
-  TKA_CHECK(check_edit(nl_, par_, edit, &why), "what_if: " + why);
-  obs::registry()
-      .counter("session.whatif_edits")
-      .add(edit.zero_couplings.size() + edit.shield_couplings.size() +
-           edit.resizes.size());
-  apply_edit_to_design(nl_, par_, edit);
+  TKA_CHECK(k >= 1, "what_if: k must be at least 1");
+  // Every edit is checked before any applies, so a refused batch leaves the
+  // design untouched. An earlier edit cannot change a later one's verdict:
+  // edits keep every id range, and a resize keeps the gate's function.
+  std::size_t edit_count = 0;
+  for (const WhatIfEdit& edit : edits) {
+    std::string why;
+    TKA_CHECK(check_edit(nl_, par_, edit, &why), "what_if: " + why);
+    edit_count += edit.zero_couplings.size() + edit.shield_couplings.size() +
+                  edit.resizes.size();
+  }
+  obs::registry().counter("session.whatif_edits").add(edit_count);
+  // Until the query below completes, the warm state lags the design.
+  primed_ = false;
 
-  // The edit's electrical footprint: the couplings whose value changed and
-  // the nets whose local loads or drive changed (a resized gate's output
-  // drive and its inputs' pin loads).
+  // Edits apply in order, since they do not commute (zeroing a coupling and
+  // then shielding it leaves a different ground load than the reverse).
+  // The batch's electrical footprint is the union of theirs: the couplings
+  // whose value changed and the nets whose local loads or drive changed (a
+  // resized gate's output drive and its inputs' pin loads).
   std::vector<net::NetId> edit_nets;
   std::vector<layout::CapId> edit_caps;
-  for (const std::vector<layout::CapId>* caps :
-       {&edit.zero_couplings, &edit.shield_couplings}) {
-    for (layout::CapId cap : *caps) {
-      edit_caps.push_back(cap);
-      edit_nets.push_back(par_.coupling(cap).net_a);
-      edit_nets.push_back(par_.coupling(cap).net_b);
+  for (const WhatIfEdit& edit : edits) {
+    apply_edit_to_design(nl_, par_, edit);
+    for (const std::vector<layout::CapId>* caps :
+         {&edit.zero_couplings, &edit.shield_couplings}) {
+      for (layout::CapId cap : *caps) {
+        edit_caps.push_back(cap);
+        edit_nets.push_back(par_.coupling(cap).net_a);
+        edit_nets.push_back(par_.coupling(cap).net_b);
+      }
     }
-  }
-  for (const WhatIfEdit::Resize& rz : edit.resizes) {
-    const net::Gate& g = nl_.gate(rz.gate);
-    edit_nets.push_back(g.output);
-    edit_nets.insert(edit_nets.end(), g.inputs.begin(), g.inputs.end());
+    for (const WhatIfEdit::Resize& rz : edit.resizes) {
+      const net::Gate& g = nl_.gate(rz.gate);
+      edit_nets.push_back(g.output);
+      edit_nets.insert(edit_nets.end(), g.inputs.begin(), g.inputs.end());
+    }
   }
   std::sort(edit_nets.begin(), edit_nets.end());
   edit_nets.erase(std::unique(edit_nets.begin(), edit_nets.end()),
@@ -135,29 +152,35 @@ topk::TopkResult AnalysisSession::what_if(const WhatIfEdit& edit) {
   std::vector<net::NetId> seeds;
   {
     obs::ScopedSpan stage_span("topk.stage.baseline");
-    BaselineStage::refresh(design_, opt_, edit_nets, edit_caps, &base_,
-                           &seeds);
+    if (!edits.empty()) {
+      BaselineStage::refresh(design(), opt_, edit_nets, edit_caps, &base_,
+                             &seeds);
+    }
     if (opt_.mode == topk::Mode::kAddition && opt_.reevaluate) {
       // Addition evaluates candidate sets against the mask=none fixpoint;
       // keep a primed one warm for the re-ranking stage.
       const noise::CouplingMask none =
-          noise::CouplingMask::none(design_.par->num_couplings());
+          noise::CouplingMask::none(par_.num_couplings());
       if (fp_none_ == nullptr) {
         fp_none_ = std::make_unique<noise::IncrementalFixpoint>(
-            *design_.nl, *design_.par, *design_.model, *design_.calc,
-            iter_opt_);
+            nl_, par_, model_, calc_, opt_.iterative);
         fp_none_->recompute(none);
-      } else {
+      } else if (!edits.empty()) {
         fp_none_->refresh(edit_nets, edit_caps, none);
       }
     }
   }
 
-  log::info() << "session: what-if edit (" << edit_caps.size()
-              << " couplings, " << edit.resizes.size() << " resizes) -> "
-              << seeds.size() << " of " << design_.nl->num_nets()
-              << " seed victims";
-  return query(&seeds);
+  if (!edits.empty()) {
+    log::info() << "session: what-if batch of " << edits.size() << " edits ("
+                << edit_caps.size() << " couplings) -> " << seeds.size()
+                << " of " << nl_.num_nets() << " seed victims";
+  }
+  topk::TopkResult result = query(/*cold=*/false,
+                                  edits.empty() ? nullptr : &seeds,
+                                  static_cast<std::size_t>(k));
+  primed_ = true;
+  return result;
 }
 
 namespace {
@@ -194,27 +217,28 @@ double AnalysisSession::evaluate_members(
       noise::IncrementalFixpoint fp = *base_fp;
       fp.set_threads(iterative.threads);
       noise::CouplingMask mask =
-          addition ? noise::CouplingMask::none(design_.par->num_couplings())
-                   : noise::CouplingMask::all(design_.par->num_couplings());
+          addition ? noise::CouplingMask::none(par_.num_couplings())
+                   : noise::CouplingMask::all(par_.num_couplings());
       for (layout::CapId id : members) mask.set(id, addition);
       fp.refresh({}, members, mask);
       return fp.report().noisy_delay;
     }
   }
-  return BaselineStage::masked_delay(design_, members, opt_.mode, iterative);
+  return BaselineStage::masked_delay(design(), members, opt_.mode, iterative);
 }
 
-topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
+topk::TopkResult AnalysisSession::query(bool cold,
+                                        const std::vector<net::NetId>* seeds,
+                                        std::size_t k) {
   const topk::TopkOptions& opt = opt_;
-  TKA_ASSERT(opt.k >= 1);
+  TKA_ASSERT(k >= 1);
   // All run timing below comes from the obs monotonic clock so TopkStats,
   // span durations and registry values agree with each other.
   const std::int64_t run_start_ns = obs::now_ns();
-  const int threads = threads_;
-  const noise::IterativeOptions& iter_opt = iter_opt_;
-  const bool cold = (seeds == nullptr);
+  const int threads = opt.threads;
+  const noise::IterativeOptions& iter_opt = opt.iterative;
   obs::ScopedSpan run_span(cold ? "topk.run" : "topk.whatif");
-  run_span.arg("k", static_cast<std::int64_t>(opt.k))
+  run_span.arg("k", static_cast<std::int64_t>(k))
       .arg("mode",
            opt.mode == topk::Mode::kAddition ? "addition" : "elimination")
       .arg("threads", static_cast<std::int64_t>(threads));
@@ -242,32 +266,40 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
   topk::TopkResult result;
   result.mode = opt.mode;
 
-  const net::Netlist& nl = *design_.nl;
+  const net::Netlist& nl = nl_;
   const std::size_t num_nets = nl.num_nets();
-  const std::size_t num_caps = design_.par->num_couplings();
-  const std::size_t k = static_cast<std::size_t>(opt.k);
+  const std::size_t num_caps = par_.num_couplings();
   const bool addition = (opt.mode == topk::Mode::kAddition);
 
   if (cold) {
-    log::info() << "topk: start k=" << opt.k << " mode="
+    log::info() << "topk: start k=" << k << " mode="
                 << (addition ? "addition" : "elimination")
                 << " nets=" << num_nets << " couplings=" << num_caps;
     base_ = topk::stages::BaselineState{};
     {
       obs::ScopedSpan stage_span("topk.stage.baseline");
-      BaselineStage::prime(design_, opt, iter_opt, &base_);
+      BaselineStage::prime(design(), opt, iter_opt, &base_);
     }
     memo_ = topk::stages::SweepMemo{};
-    memo_.k = k;
     memo_.retain = sopt_.retain_candidates;
+    fp_none_.reset();
+  }
+  // The cardinalities this query sweeps: a warm query re-enumerates the
+  // memo's 1..warm_to from its seeds, and any query sweeps the ones above
+  // the memo's, up to k, with cold tasks (every victim rebuilt). Their
+  // layers are allocated as the sweep reaches them.
+  const std::size_t warm_to = seeds != nullptr ? memo_.k() : 0;
+  const std::size_t first = warm_to > 0 ? 1 : memo_.k() + 1;
+  const std::size_t last = std::max(warm_to, k);
+  if (k > memo_.k()) {
     memo_.lists.resize(k);
     if (memo_.retain && !addition) memo_.sweep0.resize(k);
-    memo_.winner_score.assign(num_nets, std::vector<double>(k + 1, -1.0));
-    memo_.winner_members.assign(
-        num_nets, std::vector<std::vector<layout::CapId>>(k + 1));
-    fp_none_.reset();
-  } else {
-    TKA_CHECK(memo_.k == k, "what_if must reuse the priming run's k");
+    memo_.winner_score.resize(num_nets);
+    memo_.winner_members.resize(num_nets);
+    for (std::size_t v = 0; v < num_nets; ++v) {
+      memo_.winner_score[v].resize(k + 1, -1.0);
+      memo_.winner_members[v].resize(k + 1);
+    }
   }
 
   result.all_aggressor_report = base_.fixpoint->report();
@@ -289,11 +321,10 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
   const std::vector<int> levels = net::net_levels(nl);
 
   QueryContext ctx;
-  ctx.design = design_;
+  ctx.design = design();
   ctx.opt = &opt;
   ctx.iter_opt = iter_opt;
   ctx.threads = threads;
-  ctx.k = k;
   ctx.addition = addition;
   ctx.base = &base_;
   ctx.ho_snap = &ho_snap;
@@ -314,8 +345,8 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
   runtime::TaskGraph graph = build_sweep_graph(ctx);
   EvaluateStage evaluate(&ctx);
 
-  // Change-driven dirtiness (warm queries). `need` marks victims whose
-  // enumeration inputs may have moved; it is seeded from the baseline
+  // Change-driven dirtiness (warm cardinalities). `need` marks victims
+  // whose enumeration inputs may have moved; it is seeded from the baseline
   // refresh and grows while the sweeps run, sticky across cardinalities
   // (cross-cardinality reads — own prior layer, fanin winner trails —
   // mean a victim stays interesting once any input ever changed this
@@ -326,13 +357,12 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
   std::vector<char> next_need;
   std::vector<char> rebuilt;
   std::vector<std::vector<topk::CandidateSet>> prev_final;
-  if (!cold) {
+  if (warm_to > 0) {
     need.assign(num_nets, 0);
     for (net::NetId v : *seeds) need[v] = 1;
     next_need.assign(num_nets, 0);
     rebuilt.assign(num_nets, 0);
     prev_final.resize(num_nets);
-    ctx.dirty = &rebuilt;
   }
   // A net whose rebuilt list actually differs from its memoized one dirties
   // its one-hop readers: fanout gate outputs (pseudo propagation, balanced
@@ -345,8 +375,8 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
   // unchanged, the wave stops there. Runs inside v's own task.
   auto mark_changed = [&](net::NetId v) {
     for (std::size_t r : graph.successors(v)) set_flag(need, r);
-    for (layout::CapId cap : design_.par->couplings_of(v)) {
-      const layout::CouplingCap& cc = design_.par->coupling(cap);
+    for (layout::CapId cap : par_.couplings_of(v)) {
+      const layout::CouplingCap& cc = par_.coupling(cap);
       if (cc.cap_pf > 0.0) set_flag(next_need, cc.other(v));
     }
   };
@@ -363,7 +393,8 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
   // aggressor is not an input of the victim. Lists deduplicate, so the
   // second sweep is a pure refinement.
   const int sweeps = addition ? 1 : 2;
-  for (std::size_t i = 1; i <= k; ++i) {
+  for (std::size_t i = first; i <= last; ++i) {
+    const bool warm = i <= warm_to;
     const std::int64_t card_start_ns = obs::now_ns();
     obs::ScopedSpan card_span(str::format("topk.cardinality.%zu", i));
     if (memo_.lists[i - 1].size() != num_nets) {
@@ -374,7 +405,8 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
     }
     for (BestSnap& s : ho_snap) s.valid = false;
     for (BestSnap& s : ho_prev) s.valid = false;
-    if (!cold) rebuilt.assign(num_nets, 0);
+    if (warm) rebuilt.assign(num_nets, 0);
+    ctx.dirty = warm ? &rebuilt : nullptr;
 
     // Every sweep runs on the dependency-counted task graph: each victim is
     // one task, released the moment its inputs have completed, so
@@ -392,7 +424,7 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
       graph.run(threads, [&](std::size_t t) {
         const net::NetId v = static_cast<net::NetId>(t);
         topk::IList& live = memo_.lists[i - 1][v];
-        if (!cold) {
+        if (warm) {
           if (!std::atomic_ref<char>(need[v]).load(std::memory_order_relaxed)) {
             if (!addition) PruneStage::publish_one(ctx, v, i, sweep);
             return;
@@ -416,7 +448,7 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
         }
         CandidateStage::generate(ctx, v, i, sweep);
         PruneStage::reduce(ctx, v, i, &net_prune[t], &net_max[t]);
-        if (!cold) {
+        if (warm) {
           // Compare the rebuilt list against what this query would have
           // read had the victim stayed clean — the final sweep against the
           // memoized final list, elimination sweep 0 against the old
@@ -430,7 +462,7 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
       // The finished sweep becomes the "previous" buffer the next sweep's
       // non-input higher-order reads see (ho_of).
       if (!addition) ho_snap.swap(ho_prev);
-      if (!cold) {
+      if (warm) {
         // A task reads its need flag when it starts, after every mark an
         // input can set: the flags now name exactly the needy victims.
         for (net::NetId v = 0; v < num_nets; ++v) {
@@ -451,7 +483,7 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
     if (log::enabled(log::Level::kDebug)) {
       log::debug() << "topk: cardinality " << i << " done in "
                    << obs::ns_to_seconds(now - card_start_ns)
-                   << " s, best delay " << result.estimated_delay_by_k.back();
+                   << " s, best delay " << memo_.estimated_delay_by_k.back();
     }
     // Rolling memory for one-shot runs: cardinality i-1's layer is dead
     // once cardinality i completed (cardinality i+1 reads only layer i, the
@@ -468,17 +500,32 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
     result.stats.prune.removed_beam += net_prune[t].removed_beam;
     result.stats.max_list_size = std::max(result.stats.max_list_size, net_max[t]);
   }
+  // The answer at k: the trail's first k entries. A memo that is not
+  // retained ends with this query, whose k is all it holds, so its trail
+  // moves out instead.
+  if (memo_.retain) {
+    result.set_by_k.assign(memo_.set_by_k.begin(),
+                           memo_.set_by_k.begin() + k);
+    result.estimated_delay_by_k.assign(memo_.estimated_delay_by_k.begin(),
+                                       memo_.estimated_delay_by_k.begin() + k);
+    result.finalists_by_k.assign(memo_.finalists_by_k.begin(),
+                                 memo_.finalists_by_k.begin() + k);
+  } else {
+    result.set_by_k = std::move(memo_.set_by_k);
+    result.estimated_delay_by_k = std::move(memo_.estimated_delay_by_k);
+    result.finalists_by_k = std::move(memo_.finalists_by_k);
+  }
   result.members = result.set_by_k.back();
   result.estimated_delay = result.estimated_delay_by_k.back();
   result.evaluated_delay = result.estimated_delay;
   {
     obs::ScopedSpan eval_span("topk.stage.evaluate");
-    evaluate.finalize();
+    evaluate.finalize(k);
   }
   result.stats.threads = threads;
   result.stats.runtime_s = obs::ns_to_seconds(obs::now_ns() - run_start_ns);
 
-  if (!cold) {
+  if (warm_to > 0) {
     std::size_t frontier = 0;
     for (char f : need) frontier += f != 0;
     reg.gauge("session.dirty_victims").set(static_cast<double>(frontier));
@@ -505,11 +552,11 @@ topk::TopkResult AnalysisSession::query(const std::vector<net::NetId>* seeds) {
   wave::pool::publish_gauges();
 
 #if TKA_OBS_ENABLED
-  // Memory accounting: walk the memoized state once per query and publish
-  // the approximate footprints (mem.candidate_tables_bytes for the live
-  // I-list layers, mem.whatif_memo_bytes for the replay snapshots and
-  // winner trails).
-  {
+  // Memory accounting: walk the memoized state once per query that swept
+  // and publish the approximate footprints (mem.candidate_tables_bytes for
+  // the live I-list layers, mem.whatif_memo_bytes for the replay snapshots
+  // and winner trails).
+  if (first <= last) {
     std::size_t table_bytes = 0;
     for (const std::vector<topk::IList>& layer : memo_.lists) {
       for (const topk::IList& list : layer) table_bytes += list.approx_bytes();

@@ -5,17 +5,25 @@
 // coupling calculator over them, the envelope caches and the recorded
 // baseline fixpoints, and keeps them warm across queries:
 //
-//   run(options)   — cold query: primes the baseline and enumerates every
-//                    victim. A one-shot query is a fresh session's run().
-//   what_if(edit)  — applies a repair edit to the session's design copy,
-//                    re-converges the baseline incrementally, and
-//                    re-enumerates only the victims whose inputs actually
-//                    changed. Both run the same per-victim task graph;
-//                    dirtiness spreads change-driven along it: a rebuilt
-//                    list is compared against its memoized predecessor,
-//                    and only a real difference dirties its readers. The
-//                    result is bit-identical to a cold run() on the edited
-//                    design, at every thread count.
+//   run(options)        — cold query: primes the baseline and enumerates
+//                         every victim. A one-shot query is a fresh
+//                         session's run().
+//   what_if(edits, k)   — applies an ordered batch of repair edits to the
+//                         session's design copy, re-converges the baseline
+//                         incrementally over their union footprint, and
+//                         re-enumerates only the victims whose inputs
+//                         actually changed; then answers at k. Both run the
+//                         same per-victim task graph; dirtiness spreads
+//                         change-driven along it: a rebuilt list is compared
+//                         against its memoized predecessor, and only a real
+//                         difference dirties its readers.
+//
+// The memo holds cardinalities 1..K, where K is the largest k the session
+// has answered, and every smaller k's answer with them (cardinality i never
+// reads a larger one). So an answer at k <= K runs only the final exact
+// re-evaluation, and one at k > K sweeps cardinalities K+1..k on top of the
+// memo. Every answer is bit-identical to a cold run() at the same k on the
+// same design, at every thread count.
 #pragma once
 
 #include <memory>
@@ -57,38 +65,52 @@ class AnalysisSession {
   /// Cold query: (re)primes the baseline state and enumerates everything.
   topk::TopkResult run(const topk::TopkOptions& options);
 
-  /// Incremental what-if query after a repair edit. Requires a primed
-  /// session with retain_candidates on. Uses the options of the last run().
-  /// An edit that fails check_edit throws tka::Error and leaves the design
-  /// and every warm state untouched.
+  /// Incremental query after a batch of repair edits, applied in order,
+  /// answered at cardinality k; an empty batch answers at k on the current
+  /// design. Requires a primed session with retain_candidates on. Uses the
+  /// options of the last run() but for k. A batch holding an edit that
+  /// fails check_edit throws tka::Error and leaves the design and every
+  /// warm state untouched; any other failure leaves the session unprimed.
+  topk::TopkResult what_if(std::span<const WhatIfEdit> edits, int k);
+  /// One edit, answered at the last run()'s k.
   topk::TopkResult what_if(const WhatIfEdit& edit);
 
   bool primed() const { return primed_; }
   const net::Netlist& netlist() const { return nl_; }
   const layout::Parasitics& parasitics() const { return par_; }
+  /// The last run()'s options, worker counts resolved.
   const topk::TopkOptions& options() const { return opt_; }
   /// The mask=all fixpoint report of the current design state.
   const noise::NoiseReport& baseline_report() const;
 
  private:
-  /// `seeds` lists the victims the baseline refresh invalidated; nullptr
-  /// means a cold query (every victim enumerated).
-  topk::TopkResult query(const std::vector<net::NetId>* seeds);
+  /// Answers at cardinality k. A cold query primes the baseline and sweeps
+  /// cardinalities 1..k with cold tasks. A warm one re-enumerates the memo's
+  /// cardinalities from `seeds`, the victims the baseline refresh
+  /// invalidated (nullptr: no edit, nothing to re-enumerate); then both
+  /// sweep every cardinality above the memo's up to k with cold tasks.
+  topk::TopkResult query(bool cold, const std::vector<net::NetId>* seeds,
+                         std::size_t k);
   double evaluate_members(std::span<const layout::CapId> members,
                           const noise::IterativeOptions& iterative, bool warm);
 
-  // Declaration order matters: the model binds the copies, the calculator
-  // binds the model, and design_ points at all four.
+  topk::stages::DesignRef design() const {
+    return {&nl_, &par_, &model_, &calc_};
+  }
+
+  // Declaration order matters: the model binds the copies and the
+  // calculator binds the model. The members hold no derivable state: the
+  // object stays within the 1032 bytes glibc's malloc serves from its
+  // per-thread cache, which keeps a one-shot session's hand-off at about
+  // a microsecond (perfbench setup_s rose 10-17% at 1112 bytes).
   net::Netlist nl_;
   layout::Parasitics par_;
   sta::DelayModel model_;
   noise::AnalyticCouplingCalculator calc_;
-  topk::stages::DesignRef design_;
   SessionOptions sopt_;
-  topk::TopkOptions opt_;
-  noise::IterativeOptions iter_opt_;
-  int threads_ = 1;
   bool primed_ = false;
+  /// The last run()'s options, worker counts resolved.
+  topk::TopkOptions opt_;
 
   topk::stages::BaselineState base_;
   topk::stages::SweepMemo memo_;

@@ -17,7 +17,6 @@ EvaluateStage::EvaluateStage(QueryContext* ctx) : ctx_(ctx) {
               return windows[a].lat > windows[b].lat;
             });
   if (hot_pos_.size() > kSinkPoLimit) hot_pos_.resize(kSinkPoLimit);
-  sink_lists_.resize(ctx_->k + 1);
 }
 
 double EvaluateStage::sink_est_delay(const SinkSet& s) const {
@@ -53,9 +52,13 @@ void EvaluateStage::select(std::size_t i) {
   const BaselineState& base = *ctx_->base;
   const sta::WindowTable& windows = *base.windows;
   SweepMemo& memo = *ctx_->memo;
-  TopkResult& result = *ctx_->result;
   const std::vector<IList>& cur = memo.lists[i - 1];
   const bool addition = ctx_->addition;
+  // Trail entries from cardinality i up are a previous sweep's; this one
+  // reads only the entries below i.
+  memo.set_by_k.resize(i - 1);
+  memo.estimated_delay_by_k.resize(i - 1);
+  memo.finalists_by_k.resize(i - 1);
 
   double best_delay = addition ? -std::numeric_limits<double>::infinity()
                                : std::numeric_limits<double>::infinity();
@@ -109,16 +112,18 @@ void EvaluateStage::select(std::size_t i) {
     if (best_set.empty()) {
       // No cardinality-i set anywhere (tiny design / large i): keep the
       // previous cardinality's choice — a k'-set is a valid k-set choice.
-      best_delay = result.estimated_delay_by_k.empty()
+      best_delay = memo.estimated_delay_by_k.empty()
                        ? circuit_floor
-                       : result.estimated_delay_by_k.back();
-      if (!result.set_by_k.empty()) best_set = result.set_by_k.back();
+                       : memo.estimated_delay_by_k.back();
+      if (!memo.set_by_k.empty()) best_set = memo.set_by_k.back();
     }
     best_delay = std::max(best_delay, circuit_floor);
   } else {
     // Build the virtual-sink list of cardinality i: single-PO sets plus
     // unions of a lower-cardinality sink set with another PO's set.
-    std::vector<SinkSet>& slist = sink_lists_[i];
+    memo.sink_lists.resize(i + 1);
+    std::vector<SinkSet>& slist = memo.sink_lists[i];
+    slist.clear();
     std::vector<layout::CapId> merged;
     auto push_sink = [&](SinkSet s) {
       s.est_delay = sink_est_delay(s);
@@ -133,7 +138,7 @@ void EvaluateStage::select(std::size_t i) {
       }
     }
     for (std::size_t j = 1; j < i; ++j) {
-      for (const SinkSet& base_set : sink_lists_[j]) {
+      for (const SinkSet& base_set : memo.sink_lists[j]) {
         for (net::NetId p : hot_pos_) {
           bool has_p = false;
           for (const auto& [q, r] : base_set.per_po) has_p |= (q == p);
@@ -193,29 +198,28 @@ void EvaluateStage::select(std::size_t i) {
       // Removing one more coupling never hurts: keep the curve monotone
       // when the exact-cardinality list happens to be worse than a
       // lower-cardinality choice.
-      if (!result.estimated_delay_by_k.empty() &&
-          result.estimated_delay_by_k.back() < best_delay) {
-        best_delay = result.estimated_delay_by_k.back();
-        best_set = result.set_by_k.back();
+      if (!memo.estimated_delay_by_k.empty() &&
+          memo.estimated_delay_by_k.back() < best_delay) {
+        best_delay = memo.estimated_delay_by_k.back();
+        best_set = memo.set_by_k.back();
       }
     } else {
-      best_delay = result.estimated_delay_by_k.empty()
+      best_delay = memo.estimated_delay_by_k.empty()
                        ? circuit_floor
-                       : result.estimated_delay_by_k.back();
-      if (!result.set_by_k.empty()) best_set = result.set_by_k.back();
+                       : memo.estimated_delay_by_k.back();
+      if (!memo.set_by_k.empty()) best_set = memo.set_by_k.back();
     }
   }
-  result.set_by_k.push_back(pad_to(std::move(best_set), i));
-  result.estimated_delay_by_k.push_back(best_delay);
-  result.finalists_by_k.push_back(std::move(finalists));
+  memo.set_by_k.push_back(pad_to(std::move(best_set), i));
+  memo.estimated_delay_by_k.push_back(best_delay);
+  memo.finalists_by_k.push_back(std::move(finalists));
 }
 
-void EvaluateStage::finalize() {
+void EvaluateStage::finalize(std::size_t k) {
   const TopkOptions& opt = *ctx_->opt;
   TopkResult& result = *ctx_->result;
   if (!opt.reevaluate || result.members.empty()) return;
   const bool addition = ctx_->addition;
-  const std::size_t k = ctx_->k;
 
   obs::ScopedSpan reevaluate_span("topk.reevaluate");
   result.evaluated_delay = ctx_->evaluate(result.members, ctx_->iter_opt);
@@ -244,7 +248,7 @@ void EvaluateStage::finalize() {
     for (const CandidateSet* s : cands) finalists.push_back(&s->members);
   } else {
     // Sink lists are already sorted best-first.
-    for (const SinkSet& s : sink_lists_[k]) {
+    for (const SinkSet& s : ctx_->memo->sink_lists[k]) {
       if (s.members == result.members) continue;
       finalists.push_back(&s.members);
       if (finalists.size() >= opt.rerank_top) break;

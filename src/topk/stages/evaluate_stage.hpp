@@ -7,8 +7,6 @@
 // the winner in index order (strict-better, first wins).
 #pragma once
 
-#include <utility>
-
 #include "topk/stages/stage_context.hpp"
 
 namespace tka::topk::stages {
@@ -18,22 +16,18 @@ class EvaluateStage {
   /// Binds one query; derives the hot-PO list from the current windows.
   explicit EvaluateStage(QueryContext* ctx);
 
-  /// Sink selection for cardinality i: appends the winning set, its
-  /// estimated delay and the finalist runners-up to the result trail.
+  /// Sink selection for cardinality i, once cardinalities 1..i-1 are
+  /// selected: sets the memo trail's entry i (the winning set, its
+  /// estimated delay and the finalist runners-up) and, in elimination,
+  /// the virtual-sink list of cardinality i.
   void select(std::size_t i);
 
-  /// Exact re-evaluation of the chosen set plus up to rerank_top finalists.
-  void finalize();
+  /// Exact re-evaluation of the result's chosen set of cardinality k plus
+  /// up to rerank_top of cardinality k's finalists. Reads only the memo's
+  /// cardinality-k state, so it answers any k the memo holds.
+  void finalize(std::size_t k);
 
  private:
-  // Virtual-sink candidate (elimination): per-PO reduction contributions,
-  // combined across the worst few POs (the paper's single "sink node",
-  // generalized).
-  struct SinkSet {
-    std::vector<layout::CapId> members;
-    std::vector<std::pair<net::NetId, double>> per_po;  // reduction at PO
-    double est_delay = 0.0;
-  };
   static constexpr std::size_t kSinkPoLimit = 8;
   static constexpr std::size_t kSinkBeam = 64;
   static constexpr std::size_t kFinalists = 6;
@@ -44,7 +38,6 @@ class EvaluateStage {
 
   QueryContext* ctx_;
   std::vector<net::NetId> hot_pos_;
-  std::vector<std::vector<SinkSet>> sink_lists_;  // [cardinality]
 };
 
 }  // namespace tka::topk::stages

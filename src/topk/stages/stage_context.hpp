@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "noise/incremental_fixpoint.hpp"
@@ -73,12 +74,24 @@ struct BaselineState {
   std::vector<net::NetId> sinks;
 };
 
+/// Virtual-sink candidate (elimination): per-PO reduction contributions,
+/// combined across the worst few POs (the paper's single "sink node",
+/// generalized).
+struct SinkSet {
+  std::vector<layout::CapId> members;
+  std::vector<std::pair<net::NetId, double>> per_po;  // reduction at PO
+  double est_delay = 0.0;
+};
+
 /// Memoized enumeration state per (cardinality, victim), persisted across
 /// queries. The lists ARE the live working storage: a query's CandidateStage
 /// clears and rebuilds exactly the dirty victims' lists, so after any query
-/// the memo equals what a cold run on the current design would have built.
+/// the memo equals what a cold run on the current design would have built,
+/// up to cardinality k(). Cardinality i reads only cardinalities below it,
+/// so the memo also holds every smaller k's answer, and a later sweep of
+/// cardinalities k()+1.. extends it exactly as a cold run at the larger k
+/// would have built it.
 struct SweepMemo {
-  std::size_t k = 0;
   /// Keep all cardinality layers alive after the query (required for
   /// what_if). When false the orchestrator frees layer i-1 once cardinality
   /// i+1 completes, matching the two-layer memory of a one-shot run.
@@ -90,6 +103,19 @@ struct SweepMemo {
   std::vector<std::vector<std::vector<CandidateSet>>> sweep0;
   std::vector<std::vector<double>> winner_score;  // [net][cardinality]
   std::vector<std::vector<std::vector<layout::CapId>>> winner_members;
+
+  /// EvaluateStage's per-cardinality trail (index i-1 = cardinality i): the
+  /// TopkResult fields of the same names, at cardinalities 1..k.
+  std::vector<std::vector<layout::CapId>> set_by_k;
+  std::vector<double> estimated_delay_by_k;
+  std::vector<std::vector<std::vector<layout::CapId>>> finalists_by_k;
+  /// Elimination: the virtual-sink list of each cardinality i (index i),
+  /// best first. Cardinality i's list unions lower cardinalities' lists
+  /// with the hot POs' sets; the final re-ranking reads the answered k's.
+  std::vector<std::vector<SinkSet>> sink_lists;
+
+  /// Cardinalities held.
+  std::size_t k() const { return lists.size(); }
 };
 
 /// Per-net winner snapshot (elimination higher-order reads). Reset per
@@ -116,7 +142,6 @@ struct QueryContext {
   const TopkOptions* opt = nullptr;
   noise::IterativeOptions iter_opt;  // threads resolved
   int threads = 1;
-  std::size_t k = 0;
   bool addition = true;
 
   BaselineState* base = nullptr;

@@ -92,8 +92,10 @@ struct TopkStats {
   PruneStats prune;           ///< dominance/beam removal tallies
   double runtime_s = 0.0;     ///< whole-run wall-clock seconds
   /// Cumulative wall-clock seconds from run start to the end of each
-  /// cardinality i (index i-1); runtime_by_k.back() ~ runtime_s minus the
-  /// final re-evaluation.
+  /// cardinality the query swept, in order — every i = 1..k (index i-1)
+  /// for a cold run; runtime_by_k.back() ~ runtime_s minus the final
+  /// re-evaluation. A warm query sweeps only what its edits or a k above
+  /// the session's memo need.
   std::vector<double> runtime_by_k;
 };
 

@@ -19,6 +19,7 @@
 #include "obs/memory.hpp"
 #include "obs/metrics.hpp"
 #include "sta/analyzer.hpp"
+#include "topk/stages/baseline_stage.hpp"
 #include "wave/ramp.hpp"
 
 namespace tka::noise {
@@ -356,18 +357,24 @@ TEST(Analyzer, UpperBoundDominatesActual) {
   }
 }
 
+// The engine's dominance interval of a victim (BaselineState::iv after a
+// cold prime) opens at the victim's noiseless t50 and closes past it by the
+// path-accumulated delay-noise upper bound.
 TEST(Analyzer, DominanceIntervalAnchoredAtT50) {
   Fixture fx = test::make_parallel_chains(2, 2);
   test::couple(fx, "c0_n1", "c1_n1", 0.006);
   Bound b(fx);
   AnalyticCouplingCalculator calc(fx.parasitics, b.model);
-  EnvelopeBuilder builder(*fx.netlist, fx.parasitics, calc, b.sta.windows);
-  NoiseAnalyzer analyzer(*fx.netlist, fx.parasitics, b.model);
+  topk::TopkOptions opt;
+  opt.mode = topk::Mode::kAddition;
+  opt.iterative.sta = fx.sta_options();
+  topk::stages::BaselineState state;
+  topk::stages::BaselineStage::prime({fx.netlist.get(), &fx.parasitics,
+                                      &b.model, &calc},
+                                     opt, opt.iterative, &state);
   const net::NetId v = fx.netlist->net_by_name("c0_n1");
-  const CouplingMask all = CouplingMask::all(fx.parasitics.num_couplings());
-  const wave::DominanceInterval iv = analyzer.dominance_interval(v, builder, all);
-  EXPECT_DOUBLE_EQ(iv.lo, b.sta.windows[v].lat);
-  EXPECT_GT(iv.hi, iv.lo);
+  EXPECT_DOUBLE_EQ(state.iv[v].lo, b.sta.windows[v].lat);
+  EXPECT_GT(state.iv[v].hi, state.iv[v].lo);
 }
 
 TEST(Iterative, NoCouplingsMeansNoNoise) {

@@ -5,7 +5,10 @@
 // byte-identical responses to a serial one-shot run of the same queries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <random>
@@ -19,7 +22,9 @@
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "session/analysis_session.hpp"
+#include "session/design_snapshot.hpp"
 #include "topk/topk_engine.hpp"
+#include "util/string_util.hpp"
 
 namespace tka::server {
 namespace {
@@ -305,32 +310,112 @@ TEST(Serve, PingListAndUnknownOp) {
   EXPECT_NE(resp.find("\"parse_error\""), std::string::npos);
 }
 
-// N parallel clients, mixed k — every response must be byte-identical to
-// the expected payload computed serially from a local session through the
-// same renderer. This is the server's core contract.
+/// Epoch stamp of a response ("\"epoch\": N"); -1 when absent.
+long parse_epoch(const std::string& resp) {
+  const std::string key = "\"epoch\": ";
+  const std::size_t pos = resp.find(key);
+  if (pos == std::string::npos) return -1;
+  long v = -1;
+  for (std::size_t i = pos + key.size();
+       i < resp.size() && resp[i] >= '0' && resp[i] <= '9'; ++i) {
+    v = (v < 0 ? 0 : v * 10) + (resp[i] - '0');
+  }
+  return v;
+}
+
+const char* mode_wire(topk::Mode mode) {
+  return mode == topk::Mode::kAddition ? "add" : "elim";
+}
+
+// N parallel clients cycle over both modes and two k while a committer
+// commits edits in both modes. Every response must be byte-identical to
+// the expected payload computed serially from a one-shot session on the
+// design at its stamped epoch, through the same renderer; no connection
+// may see its epoch go backwards. This is the server's core contract.
 TEST(Serve, ParallelClientsBitIdenticalToOneShot) {
   const Fixture fx = server_fixture();
-  const std::vector<int> ks = {2, 3};
+  struct Query {
+    int k;
+    topk::Mode mode;
+  };
+  const Query queries[] = {{2, topk::Mode::kElimination},
+                           {3, topk::Mode::kAddition},
+                           {3, topk::Mode::kElimination},
+                           {2, topk::Mode::kAddition}};
+  // Commit e moves the head to epoch e + 1, alternating modes.
+  struct Commit {
+    session::WhatIfEdit edit;
+    Query query;
+    const char* fields;
+  };
+  const Commit commits[] = {
+      {{{3}, {}, {}}, queries[0], "\"zero\": [3]"},
+      {{{}, {2}, {}}, queries[1], "\"shield\": [2]"},
+      {{{1}, {}, {}}, queries[3], "\"zero\": [1]"}};
+  constexpr long kEpochs = 4;
 
-  std::map<int, std::string> rendered;
-  for (int k : ks) {
-    session::AnalysisSession local(
-        *fx.netlist, fx.parasitics, {},
-        session::SessionOptions{.retain_candidates = false});
-    topk::TopkOptions opt = fixture_options(fx, k);
-    opt.threads = 1;
-    const topk::TopkResult res = local.run(opt);
-    rendered[k] = render_topk_result(local.netlist(), local.parasitics(), res, k);
+  // rendered[epoch][query]: a one-shot run on the base plus the first
+  // `epoch` edits.
+  std::vector<std::vector<std::string>> rendered(kEpochs);
+  for (long e = 0; e < kEpochs; ++e) {
+    net::Netlist nl(*fx.netlist);
+    layout::Parasitics par(fx.parasitics);
+    for (long c = 0; c < e; ++c) {
+      session::apply_edit_to_design(nl, par, commits[c].edit);
+    }
+    for (const Query& q : queries) {
+      session::AnalysisSession local(nl, par, {});
+      topk::TopkOptions opt = fixture_options(fx, q.k);
+      opt.mode = q.mode;
+      opt.threads = 1;
+      const topk::TopkResult res = local.run(opt);
+      rendered[e].push_back("\"result\": " +
+                            render_topk_result(local.netlist(),
+                                               local.parasitics(), res, q.k));
+    }
   }
+  auto query_index = [&](const Query& q) {
+    for (std::size_t i = 0; i < std::size(queries); ++i) {
+      if (queries[i].k == q.k && queries[i].mode == q.mode) return i;
+    }
+    return std::size(queries);
+  };
 
   ShardOptions shard_opt;
   shard_opt.workers = 2;
   shard_opt.queue_cap = 64;
-  LiveServer ls = start_server(fx, shard_opt, ks[0]);
+  LiveServer ls = start_server(fx, shard_opt, 2);
+
+  std::atomic<bool> committed{false};
+  int commit_failures = 0;
+  std::thread committer([&] {
+    Client client;
+    std::string error, resp;
+    if (!client.connect_tcp("127.0.0.1", ls.port, &error)) {
+      ++commit_failures;
+      committed = true;
+      return;
+    }
+    for (std::size_t c = 0; c < std::size(commits); ++c) {
+      const Query& q = commits[c].query;
+      const std::uint64_t id = 1000 + c;
+      const std::string req =
+          str::format("{\"id\": %llu, \"op\": \"what_if\", %s, \"k\": %d, "
+                      "\"mode\": \"%s\"}",
+                      static_cast<unsigned long long>(id), commits[c].fields,
+                      q.k, mode_wire(q.mode));
+      if (!client.call(req, &resp, &error) ||
+          resp != make_ok_response(id, c + 1, rendered[c + 1][query_index(q)])) {
+        ++commit_failures;
+      }
+    }
+    committed = true;
+  });
 
   constexpr int kClients = 4;
-  constexpr int kPerClient = 4;
+  constexpr int kPerClient = 8;  // minimum reads per client
   std::vector<int> failures(kClients, 0);
+  std::vector<long> last_epoch(kClients, 0);
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
@@ -340,24 +425,39 @@ TEST(Serve, ParallelClientsBitIdenticalToOneShot) {
         ++failures[c];
         return;
       }
-      for (int i = 0; i < kPerClient; ++i) {
-        const int seq = c * kPerClient + i;
-        const int k = ks[static_cast<std::size_t>(seq) % ks.size()];
-        const std::string req =
-            "{\"id\": " + std::to_string(seq) +
-            ", \"op\": \"topk\", \"k\": " + std::to_string(k) +
-            ", \"mode\": \"elim\"}";
-        if (!client.call(req, &resp, &error) ||
-            resp != make_ok_response(static_cast<std::uint64_t>(seq), 0,
-                                     "\"result\": " + rendered[k])) {
+      // Reads continue until one is sent after the last commit landed.
+      for (int i = 0;; ++i) {
+        const bool done = committed;
+        const int seq = c * 10000 + i;
+        const Query& q = queries[static_cast<std::size_t>(seq + c) %
+                                 std::size(queries)];
+        const std::string req = str::format(
+            "{\"id\": %d, \"op\": \"topk\", \"k\": %d, \"mode\": \"%s\"}",
+            seq, q.k, mode_wire(q.mode));
+        if (!client.call(req, &resp, &error)) {
+          ++failures[c];
+          return;
+        }
+        const long epoch = parse_epoch(resp);
+        // A read sent after the last commit's response sees the final head.
+        if (epoch < last_epoch[c] || epoch >= kEpochs ||
+            (done && epoch != kEpochs - 1) ||
+            resp != make_ok_response(static_cast<std::uint64_t>(seq),
+                                     static_cast<std::uint64_t>(epoch),
+                                     rendered[epoch][query_index(q)])) {
           ++failures[c];
         }
+        last_epoch[c] = std::max(last_epoch[c], epoch);
+        if (done && i + 1 >= kPerClient) break;
       }
     });
   }
+  committer.join();
   for (std::thread& t : threads) t.join();
+  EXPECT_EQ(commit_failures, 0);
   for (int c = 0; c < kClients; ++c) {
     EXPECT_EQ(failures[c], 0) << "client " << c;
+    EXPECT_EQ(last_epoch[c], kEpochs - 1) << "client " << c;
   }
 }
 
@@ -404,6 +504,21 @@ TEST(Serve, WhatIfCommitMatchesLocalSession) {
       "{\"id\": 7, \"op\": \"what_if\", \"zero\": [99999]}", &resp, &error));
   EXPECT_NE(resp.find("\"bad_request\""), std::string::npos);
   ASSERT_TRUE(c.call("{\"id\": 8, \"op\": \"topk\", \"k\": 3}", &resp, &error));
+  EXPECT_NE(resp.find("\"epoch\": 1"), std::string::npos);
+
+  // A k beyond the design's 4 couplings is a typed bad_request for a read
+  // and for a commit, answered before any session sees it; the commit does
+  // not advance the epoch.
+  ASSERT_TRUE(c.call("{\"id\": 11, \"op\": \"topk\", \"k\": 5}", &resp,
+                     &error));
+  EXPECT_NE(resp.find("\"bad_request\""), std::string::npos) << resp;
+  ASSERT_TRUE(c.call(
+      "{\"id\": 12, \"op\": \"what_if\", \"zero\": [1], \"k\": 5, "
+      "\"mode\": \"elim\"}",
+      &resp, &error));
+  EXPECT_NE(resp.find("\"bad_request\""), std::string::npos) << resp;
+  ASSERT_TRUE(c.call("{\"id\": 13, \"op\": \"topk\", \"k\": 3}", &resp,
+                     &error));
   EXPECT_NE(resp.find("\"epoch\": 1"), std::string::npos);
 
   // A resize to a cell that is not a drive variant refuses the whole edit

@@ -17,6 +17,7 @@
 #include "gen/circuit_generator.hpp"
 #include "noise/coupling_calc.hpp"
 #include "obs/obs.hpp"
+#include "server/protocol.hpp"
 #include "session/analysis_session.hpp"
 #include "sta/analyzer.hpp"
 #include "topk/stages/baseline_stage.hpp"
@@ -263,6 +264,103 @@ TEST(Session, WhatIfOnGeneratedCircuitMatchesColdRun) {
     for (layout::CapId cap : edit.zero_couplings) b.parasitics.zero_coupling(cap);
     AnalysisSession one_shot(*b.netlist, b.parasitics, {});
     expect_identical(warm, one_shot.run(opt));
+  }
+}
+
+// A warm session's answer at k must equal a fresh one-shot session's on the
+// same design state and k: every field the identity contract covers, and
+// the served render.
+template <class Design>
+void expect_one_shot_answer(const topk::TopkResult& got, const Design& design,
+                            int k, topk::Mode mode, int threads) {
+  SCOPED_TRACE(testing::Message() << "k " << k);
+  const topk::TopkResult want =
+      cold_reference(design, options(design, k, mode, threads));
+  expect_identical(got, want);
+  EXPECT_EQ(server::render_topk_result(*design.netlist, design.parasitics,
+                                       got, k),
+            server::render_topk_result(*design.netlist, design.parasitics,
+                                       want, k));
+}
+
+// A session primed at K = 3 answers any k on its current design: k <= K
+// from its memo, k = 5 by sweeping cardinalities 4 and 5 on top of it, and
+// after an edit or an ordered batch of edits at a k of the caller's
+// choosing. In both modes at threads 1 and 4.
+TEST(Session, AnswersAnyKOnItsCurrentDesign) {
+  const gen::GeneratorParams params = generated_params();
+  for (topk::Mode mode : {topk::Mode::kAddition, topk::Mode::kElimination}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "mode " << static_cast<int>(mode)
+                                      << " threads " << threads);
+      gen::GeneratedCircuit design = gen::generate_circuit(params);
+      AnalysisSession s(*design.netlist, design.parasitics, {}, kRetain);
+      const topk::TopkResult primed = s.run(options(design, 3, mode, threads));
+      expect_one_shot_answer(primed, design, 3, mode, threads);
+      ASSERT_GE(primed.members.size(), 3u);
+      for (int k : {2, 1, 3, 5}) {
+        expect_one_shot_answer(s.what_if({}, k), design, k, mode, threads);
+      }
+
+      WhatIfEdit e;
+      e.zero_couplings = {primed.members[0]};
+      apply_to(design, e);
+      expect_one_shot_answer(s.what_if({&e, 1}, 2), design, 2, mode, threads);
+      expect_one_shot_answer(s.what_if({}, 5), design, 5, mode, threads);
+
+      WhatIfEdit e1;
+      e1.shield_couplings = {primed.members[1]};
+      WhatIfEdit e2;
+      e2.zero_couplings = {primed.members[2]};
+      const WhatIfEdit batch[] = {e1, e2};
+      apply_to(design, e1);
+      apply_to(design, e2);
+      expect_one_shot_answer(s.what_if(batch, 4), design, 4, mode, threads);
+    }
+  }
+}
+
+// A batch applies its edits in order. Zeroing a coupling and then shielding
+// it leaves the ground load as it was; shielding it first folds its value
+// into both endpoints' ground load. Each order must equal a cold run on the
+// design edited in that order, and the two answers must differ. A batch
+// holding one bad edit throws and changes nothing: the next answer still
+// equals a one-shot run.
+TEST(Session, WhatIfBatchAppliesEditsInOrder) {
+  const gen::GeneratorParams params = generated_params();
+  const net::CellLibrary& lib = net::CellLibrary::default_library();
+  for (topk::Mode mode : {topk::Mode::kAddition, topk::Mode::kElimination}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    const gen::GeneratedCircuit gc = gen::generate_circuit(params);
+    const topk::TopkOptions opt = options(gc, 2, mode, 1);
+    const topk::TopkResult cold = cold_reference(gc, opt);
+    ASSERT_GE(cold.members.size(), 2u);
+    WhatIfEdit zero;
+    zero.zero_couplings = {cold.members[0]};
+    WhatIfEdit shield;
+    shield.shield_couplings = {cold.members[0]};
+    const WhatIfEdit orders[2][2] = {{zero, shield}, {shield, zero}};
+    std::string renders[2];
+    for (int o = 0; o < 2; ++o) {
+      SCOPED_TRACE(o);
+      AnalysisSession s(*gc.netlist, gc.parasitics, {}, kRetain);
+      s.run(opt);
+      gen::GeneratedCircuit edited = gen::generate_circuit(params);
+      for (const WhatIfEdit& edit : orders[o]) apply_to(edited, edit);
+      const topk::TopkResult got = s.what_if(orders[o], 2);
+      expect_identical(got, cold_reference(edited, opt));
+      renders[o] = server::render_topk_result(*edited.netlist,
+                                              edited.parasitics, got, 2);
+
+      WhatIfEdit good;
+      good.zero_couplings = {cold.members[1]};
+      WhatIfEdit bad;
+      bad.resizes = {{0, lib.size()}};
+      const WhatIfEdit bad_batch[] = {good, bad};
+      EXPECT_THROW(s.what_if(bad_batch, 3), Error);
+      expect_one_shot_answer(s.what_if({}, 3), edited, 3, mode, 1);
+    }
+    EXPECT_NE(renders[0], renders[1]);
   }
 }
 
