@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "obs/metrics.hpp"
@@ -166,6 +165,103 @@ PointStore plus_sweep(std::span<const Point> a, std::span<const Point> b) {
   while (times.next(&t)) out[w++] = {t, ca.value_at(t) + cb.value_at(t)};
   pts.set_size(w);
   return pts;
+}
+
+// Stable merge of the sorted breakpoint runs [l, le) and [r, re) by time
+// into `out`; an equal time from the left run comes first.
+Point* merge_runs(const Point* l, const Point* le, const Point* r,
+                  const Point* re, Point* out) {
+  while (l != le && r != re) {
+    const bool take_r = r->t < l->t;
+    *out++ = *(take_r ? r : l);
+    r += take_r;
+    l += !take_r;
+  }
+  out = std::copy(l, le, out);
+  return std::copy(r, re, out);
+}
+
+std::size_t points_in(std::span<const Pwl* const> terms, std::size_t lo,
+                      std::size_t hi) {
+  std::size_t n = 0;
+  for (std::size_t k = lo; k < hi; ++k) n += terms[k]->size();
+  return n;
+}
+
+// Pwl::sum's time grid: every breakpoint time of every term in ascending
+// order, equal times in term order (only a zero's sign tells them apart),
+// dropping any time within kTimeEps of the last kept one. That is the
+// sequence a k-way merge of the terms with lowest-index tie-breaks emits;
+// it is built by merging the terms' already sorted runs bottom-up, so it
+// costs O(P log K) for P breakpoints over K terms. Every value is +0.0,
+// ready for the term-major accumulation.
+PointStore sum_grid(std::span<const Pwl* const> terms, std::size_t total) {
+  PointStore grid;
+  grid.reserve(total);
+  Point* w = grid.data();
+  for (const Pwl* term : terms) {
+    for (const Point& p : term->points()) *w++ = {p.t, 0.0};
+  }
+  grid.set_size(total);
+  if (terms.size() > 1) {
+    PointStore other;
+    other.reserve(total);
+    other.set_size(total);
+    for (std::size_t width = 1; width < terms.size(); width *= 2) {
+      const Point* src = grid.data();
+      Point* dst = other.data();
+      for (std::size_t k = 0; k < terms.size(); k += 2 * width) {
+        const std::size_t mid = std::min(k + width, terms.size());
+        const std::size_t end = std::min(k + 2 * width, terms.size());
+        const Point* m = src + points_in(terms, k, mid);
+        const Point* e = m + points_in(terms, mid, end);
+        dst = merge_runs(src, m, m, e, dst);
+        src = e;
+      }
+      std::swap(grid, other);
+    }
+  }
+  Point* g = grid.data();
+  std::size_t kept = 1;
+  for (std::size_t i = 1; i < total; ++i) {
+    if (g[i].t - g[kept - 1].t < kTimeEps) continue;
+    g[kept++] = g[i];
+  }
+  grid.truncate(kept);
+  return grid;
+}
+
+// Adds a constant `level` to the grid values in [lo, hi). A zero level adds
+// nothing, so it is skipped.
+void add_level(Point* g, std::size_t lo, std::size_t hi, double level) {
+  if (level == 0.0) return;
+  for (std::size_t i = lo; i < hi; ++i) g[i].v += level;
+}
+
+// Adds segment [lo, hi)'s values to the grid points from index i while
+// their times lie before hi.t, and returns the first index at or past it.
+// The values are SegCursor::value_at's expression; on a flat segment f * d
+// is a zero, and the level adds exactly as lo.v + f * d would, so the
+// division is skipped.
+std::size_t add_segment(Point* g, std::size_t i, std::size_t n,
+                        const Point& lo, const Point& hi) {
+  const double d = hi.v - lo.v;
+  if (d == 0.0) {
+    for (; i < n && g[i].t < hi.t; ++i) g[i].v += lo.v;
+    return i;
+  }
+  const double span = hi.t - lo.t;
+  for (; i < n && g[i].t < hi.t; ++i) {
+    const double t = g[i].t;
+    if (t == lo.t) {
+      g[i].v += lo.v + 0.0 * d;
+    } else if (span < kTimeEps) {
+      g[i].v += hi.v;
+    } else {
+      g[i].v += lo.v + (t - lo.t) / span * d;
+    }
+  }
+  return i;
 }
 
 }  // namespace
@@ -503,39 +599,30 @@ Pwl Pwl::sum(std::span<const Pwl* const> terms) {
     total += w->size();
   }
   if (total == 0) return Pwl();
-  // K-way merge sweep. Heads produce the ascending merged time sequence
-  // (with the same eps-dedup as the two-way merge); every term contributes
-  // its cursor-interpolated value at each kept time, accumulated in term
-  // order.
-  std::vector<SegCursor<>> cursors;
-  cursors.reserve(terms.size());
-  for (const Pwl* w : terms) cursors.emplace_back(w->points());
-  std::vector<std::size_t> head(terms.size(), 0);
-  PointStore pts;
-  pts.reserve(total);
-  bool have_last = false;
-  double last_t = 0.0;
-  for (;;) {
-    double t = std::numeric_limits<double>::infinity();
-    std::size_t arg = terms.size();
-    for (std::size_t k = 0; k < terms.size(); ++k) {
-      const std::span<const Point> p = terms[k]->points();
-      if (head[k] < p.size() && p[head[k]].t < t) {
-        t = p[head[k]].t;
-        arg = k;
-      }
+  PointStore pts = sum_grid(terms, total);
+  // Term-major values: each term in turn adds its value at every grid point
+  // where that value can be nonzero, so every output is still its terms'
+  // values added in term order, starting from +0.0. Such a sum never
+  // becomes -0.0, so a skipped ±0 addend leaves every bit unchanged.
+  Point* g = pts.data();
+  const std::size_t n = pts.size();
+  for (const Pwl* w : terms) {
+    const std::span<const Point> p = w->points();
+    if (p.empty()) continue;
+    // Grid points at or before the front hold the front value; past it the
+    // segments take over, then the back value from the back onwards.
+    std::size_t i = static_cast<std::size_t>(
+        std::upper_bound(g, g + n, p.front().t,
+                         [](double x, const Point& q) { return x < q.t; }) -
+        g);
+    add_level(g, 0, i, p.front().v);
+    for (std::size_t s = 1; s < p.size(); ++s) {
+      i = add_segment(g, i, n, p[s - 1], p[s]);
     }
-    if (arg == terms.size()) break;
-    ++head[arg];
-    if (have_last && t - last_t < kTimeEps) continue;
-    have_last = true;
-    last_t = t;
-    double v = 0.0;
-    for (SegCursor<>& c : cursors) v += c.value_at(t);
-    pts.push_back({t, v});
+    add_level(g, i, n, p.back().v);
   }
-  merge_points_counter().add(pts.size());
-  // Emitted times are eps-deduplicated by the merge itself.
+  merge_points_counter().add(n);
+  // Grid times are eps-deduplicated by sum_grid.
   return from_sorted_unique(std::move(pts));
 }
 

@@ -129,8 +129,16 @@ class Pwl {
   /// Human-readable dump for debugging/tests.
   std::string to_string() const;
 
-  /// Pointwise sum of many waveforms (k-way merge; equivalent to folding
-  /// plus() but with one allocation pass).
+  /// Pointwise sum of many waveforms. The breakpoints are every term's
+  /// breakpoint times in ascending order (equal times in term order), each
+  /// dropped when it lies within the dedup epsilon of the last one kept;
+  /// each value is the terms' values there, added in term order from +0.0.
+  /// Values are built term-major: a term adds only where its value can be
+  /// nonzero, which changes no bit, since a sum that starts at +0.0 never
+  /// becomes -0.0 and so a ±0 addend leaves it unchanged. O(P log K) for
+  /// the times of P breakpoints over K terms, plus one step per grid point
+  /// inside each term's span (docs/KERNELS.md). Not bitwise equal to
+  /// folding plus(): a partial sum interpolates between its own points.
   static Pwl sum(std::span<const Pwl* const> terms);
 
  private:

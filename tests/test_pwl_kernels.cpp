@@ -1,14 +1,18 @@
-// Property tests for the single-pass PWL merge kernels against naive
-// reference implementations (the pre-rewrite merged_times + per-time
-// value() pattern, retained here verbatim). The merge sweeps promise
-// *bit-identical* results, so every comparison below is exact (==), not
-// within-tolerance. Also checks that the envelope-signature pre-filter is
-// conservative: a signature reject must imply the exact dominance check
-// fails (docs/KERNELS.md).
+// Property tests for the PWL kernels against naive reference
+// implementations (the pre-rewrite merged_times + per-time value() pattern,
+// and for sum the point-major k-way scan, with value() in place of its
+// cursors). The kernels promise *bit-identical* results, so every
+// comparison below is bitwise, not within-tolerance. Also checks that the
+// envelope-signature pre-filter is conservative: a signature reject must
+// imply the exact dominance check fails (docs/KERNELS.md).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -16,7 +20,9 @@
 #include "topk/irredundant_list.hpp"
 #include "util/rng.hpp"
 #include "wave/envelope.hpp"
+#include "wave/pulse.hpp"
 #include "wave/pwl.hpp"
+#include "wave/ramp.hpp"
 
 namespace tka::wave {
 namespace {
@@ -50,20 +56,30 @@ Pwl naive_plus(const Pwl& a, const Pwl& b) {
   return Pwl(std::move(pts));
 }
 
+// Point-major reference for sum: the lowest head time (ties to the lowest
+// term index) is the next grid time, any time within kTimeEps of the last
+// kept one is dropped, and every term's value is added at every kept time,
+// in term order. O(P·K), which the term-major kernel must match bit for bit.
 Pwl naive_sum(std::span<const Pwl* const> terms) {
-  std::vector<double> times;
-  for (const Pwl* w : terms) {
-    for (const Point& p : w->points()) times.push_back(p.t);
-  }
-  if (times.empty()) return Pwl();
-  std::sort(times.begin(), times.end());
-  times.erase(
-      std::unique(times.begin(), times.end(),
-                  [](double x, double y) { return std::abs(x - y) < kTimeEps; }),
-      times.end());
+  std::vector<std::size_t> head(terms.size(), 0);
   std::vector<Point> pts;
-  pts.reserve(times.size());
-  for (double t : times) {
+  bool have_last = false;
+  double last_t = 0.0;
+  for (;;) {
+    double t = std::numeric_limits<double>::infinity();
+    std::size_t arg = terms.size();
+    for (std::size_t k = 0; k < terms.size(); ++k) {
+      const std::span<const Point> p = terms[k]->points();
+      if (head[k] < p.size() && p[head[k]].t < t) {
+        t = p[head[k]].t;
+        arg = k;
+      }
+    }
+    if (arg == terms.size()) break;
+    ++head[arg];
+    if (have_last && t - last_t < kTimeEps) continue;
+    have_last = true;
+    last_t = t;
     double v = 0.0;
     for (const Pwl* w : terms) v += w->value(t);
     pts.push_back({t, v});
@@ -172,13 +188,19 @@ Pwl random_pwl(Rng& rng, int max_points) {
   return Pwl(std::move(pts));
 }
 
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
 void expect_identical(const Pwl& got, const Pwl& want, const char* what) {
   ASSERT_EQ(got.size(), want.size()) << what << ": " << got.to_string()
                                      << " vs " << want.to_string();
   for (size_t i = 0; i < got.size(); ++i) {
-    // Bit-identity: exact equality, not near-equality.
-    EXPECT_EQ(got.points()[i].t, want.points()[i].t) << what << " @" << i;
-    EXPECT_EQ(got.points()[i].v, want.points()[i].v) << what << " @" << i;
+    // Bit-identity: same bits, so +0.0 and -0.0 differ too.
+    EXPECT_EQ(bits(got.points()[i].t), bits(want.points()[i].t))
+        << what << " t @" << i << ": " << got.points()[i].t << " vs "
+        << want.points()[i].t;
+    EXPECT_EQ(bits(got.points()[i].v), bits(want.points()[i].v))
+        << what << " v @" << i << ": " << got.points()[i].v << " vs "
+        << want.points()[i].v;
   }
 }
 
@@ -211,6 +233,53 @@ TEST(PwlKernels, SumMatchesNaive) {
     std::vector<Pwl> storage;
     storage.reserve(k);
     for (int i = 0; i < k; ++i) storage.push_back(random_pwl(rng, 8));
+    std::vector<const Pwl*> terms;
+    for (const Pwl& w : storage) terms.push_back(&w);
+    expect_identical(Pwl::sum(terms), naive_sum(terms), "sum");
+  }
+}
+
+// One term of a fixpoint-scale sum. Most are trapezoidal envelopes whose
+// EAT/LAT come from a small shared set, so breakpoint times coincide
+// exactly (+0.0 against -0.0 included) or land within kTimeEps of each
+// other; the rest are the cases the term-major loop treats specially:
+// empty and one-point terms, terms with a nonzero front or back value that
+// extrapolates over the whole grid, and -0.0 values.
+Pwl fixpoint_term(Rng& rng) {
+  static constexpr double kTimes[] = {
+      0.0,  -0.0, 0.5, 0.5 + 4e-13, 0.5 + 9e-13, 0.5 + 1.5e-12,
+      1.25, 1.25 + 2e-12, 2.0, 3.5};
+  static constexpr double kLevels[] = {0.3, -0.0, 0.0, -0.2, 1.2};
+  auto pick_time = [&] { return kTimes[rng.next_u64() % std::size(kTimes)]; };
+  auto pick_level = [&] { return kLevels[rng.next_u64() % std::size(kLevels)]; };
+  const std::uint64_t kind = rng.next_u64() % 16;
+  if (kind == 0) return Pwl();
+  if (kind == 1) return Pwl::constant(pick_level());
+  if (kind == 2) return make_rising_ramp(pick_time(), rng.next_double(0.05, 1.0), 1.2);
+  if (kind == 3) return make_falling_ramp(pick_time(), rng.next_double(0.05, 1.0), 1.2);
+  if (kind == 4) {
+    // Flat stretches at a nonzero level and at -0.0 between both ends.
+    const double t0 = pick_time();
+    return Pwl({{t0, pick_level()}, {t0 + 0.3, -0.0}, {t0 + 0.6, -0.0},
+                {t0 + 0.9, 0.25}, {t0 + 1.2, 0.25}, {t0 + 1.5, pick_level()}});
+  }
+  const PulseShape shape{rng.next_double(0.01, 0.4), rng.next_double(0.02, 0.2),
+                         rng.next_double(0.05, 0.5)};
+  double eat = pick_time();
+  double lat = pick_time();
+  if (lat < eat) std::swap(eat, lat);
+  const Pwl env = make_trapezoidal_envelope(shape, eat, lat);
+  // Negated envelopes end at -0.0 on both sides.
+  return kind == 5 ? env.scaled(-1.0) : env;
+}
+
+TEST(PwlKernels, SumMatchesNaiveAtFixpointScale) {
+  Rng rng(109);
+  for (int it = 0; it < 200; ++it) {
+    const int k = static_cast<int>(rng.next_u64() % 161);
+    std::vector<Pwl> storage;
+    storage.reserve(k);
+    for (int i = 0; i < k; ++i) storage.push_back(fixpoint_term(rng));
     std::vector<const Pwl*> terms;
     for (const Pwl& w : storage) terms.push_back(&w);
     expect_identical(Pwl::sum(terms), naive_sum(terms), "sum");
