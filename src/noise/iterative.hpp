@@ -3,11 +3,28 @@
 // Delay noise widens timing windows downstream, which can create new
 // aggressor-victim overlaps, which adds more delay noise: the classic
 // chicken-and-egg. Iterate STA(with noise bumps) -> per-victim delay noise
-// -> new bumps until the bumps stop changing. The optimistic start (no
-// overlap assumed, bumps = 0) converges monotonically upward to the least
-// fixpoint; the pessimistic start (infinite-window upper bounds) converges
-// downward (refs [3],[4] prove convergence on the window lattice).
+// -> new bumps until the bumps stop changing. The start assumes no overlap
+// (bumps = 0) and converges monotonically upward to the least fixpoint
+// (refs [3],[4] prove convergence on the window lattice).
+//
+// One loop computes every fixpoint. Run cold (analyze_iterative, and
+// IncrementalFixpoint::recompute, which also records the run), every STA
+// is a full run_sta() and every victim relaxes. IncrementalFixpoint::
+// refresh() runs the same loop against the recorded run after a small
+// design or mask edit: each iteration adopts the recorded windows through
+// sta::IncrementalSta, applies the edit cone plus the bumps that differ
+// from the recorded ones, and re-runs the per-victim relaxation only where
+// an input actually changed — the recorded result is reused everywhere
+// else. A value is only ever reused when its inputs are bitwise identical
+// to the recorded run's, so a refresh is bit-identical to a cold run on
+// the edited design, at every thread count; once the replay outlasts the
+// recorded iterations it takes cold steps, which keeps the identity
+// unconditional.
 #pragma once
+
+#include <memory>
+#include <span>
+#include <vector>
 
 #include "noise/noise_analyzer.hpp"
 #include "sta/analyzer.hpp"
@@ -16,19 +33,18 @@ namespace tka::noise {
 
 /// Iteration cap of the fixpoint.
 inline constexpr int kMaxIterations = 25;
-/// Convergence tolerance: max |bump change| (ns). Both fixpoints raise it
-/// to 1e-5 of the noiseless circuit delay when that is larger.
+/// Convergence tolerance: max |bump change| (ns), raised to 1e-5 of the
+/// noiseless circuit delay when that is larger.
 inline constexpr double kToleranceNs = 1e-4;
 
 /// Controls for the fixpoint iteration.
 struct IterativeOptions {
-  bool pessimistic_start = false;  ///< start from upper-bound bumps
   /// Worker threads for the per-victim relaxation sweep. 0 = resolve from
   /// TKA_THREADS / hardware concurrency (runtime/runtime.hpp); 1 = serial.
   /// Every victim writes its own slot and the convergence reduction runs
   /// on the calling thread, so results are identical for any count.
   int threads = 0;
-  sta::StaOptions sta;             ///< input arrivals etc.
+  sta::StaOptions sta;  ///< input arrivals etc.
 };
 
 /// Result of a full noise-aware timing analysis.
@@ -43,19 +59,6 @@ struct NoiseReport {
   bool converged = false;
 };
 
-/// Everything needed to *replay* one fixpoint run incrementally: the bump
-/// vector and window table of every STA evaluation, in order. Entry t holds
-/// bumps[t] and windows[t] == run_sta(bumps[t]).windows; the last entry is
-/// the final (post-convergence) evaluation, duplicated in `final_sta` with
-/// its gate tables. Recorded by analyze_iterative on request and consumed
-/// by IncrementalFixpoint (noise/incremental_fixpoint.hpp).
-struct FixpointTrajectory {
-  sta::StaResult base;                        ///< the noiseless STA
-  std::vector<std::vector<double>> bumps;     ///< per-iteration bump vectors
-  std::vector<sta::WindowTable> windows;      ///< run_sta(bumps[t]).windows
-  sta::StaResult final_sta;                   ///< the last evaluation, full
-};
-
 /// Runs the fixpoint with the given coupling mask.
 NoiseReport analyze_iterative(const net::Netlist& nl, const layout::Parasitics& par,
                               const sta::DelayModel& model,
@@ -63,15 +66,61 @@ NoiseReport analyze_iterative(const net::Netlist& nl, const layout::Parasitics& 
                               const CouplingMask& mask,
                               const IterativeOptions& options = {});
 
-/// Same, additionally recording the run's trajectory into `*trajectory`
-/// (previous contents are discarded). Recording only copies vectors the
-/// run computes anyway, so the report — and every obs counter — is
-/// identical to the non-recording overload.
-NoiseReport analyze_iterative(const net::Netlist& nl, const layout::Parasitics& par,
-                              const sta::DelayModel& model,
-                              const CouplingCalculator& calc,
-                              const CouplingMask& mask,
-                              const IterativeOptions& options,
-                              FixpointTrajectory* trajectory);
+/// The bump vector and window table of every STA evaluation of one run
+/// (defined in iterative.cpp).
+struct FixpointTrajectory;
+
+/// Persistent fixpoint state for a (design, mask-polarity) pair. Cheap to
+/// copy: a recorded trajectory is never modified, so copies share it, and
+/// warm candidate evaluation clones the primed object and refreshes the
+/// clone under a perturbed mask.
+class IncrementalFixpoint {
+ public:
+  IncrementalFixpoint(const net::Netlist& nl, const layout::Parasitics& par,
+                      const sta::DelayModel& model,
+                      const CouplingCalculator& calc,
+                      const IterativeOptions& options);
+
+  /// Cold run: records the trajectory and primes the object. Counter-for-
+  /// counter identical to a plain analyze_iterative() call.
+  const NoiseReport& recompute(const CouplingMask& mask);
+
+  /// Warm run after an edit. `dirty_nets` are nets whose local inputs
+  /// changed (parasitics, driver cell, arrival); `dirty_caps` are couplings
+  /// whose value or mask participation changed (their endpoints are added
+  /// to the dirty set). `mask` is the mask to converge under — it may
+  /// differ from the primed one only on `dirty_caps`. Requires primed().
+  const NoiseReport& refresh(std::span<const net::NetId> dirty_nets,
+                             std::span<const layout::CapId> dirty_caps,
+                             const CouplingMask& mask);
+
+  bool primed() const { return traj_ != nullptr; }
+  const NoiseReport& report() const { return report_; }
+
+  /// Overrides the relaxation worker count (e.g. a clone evaluated inside
+  /// an already-parallel region drops to 1). Thread count never changes
+  /// values, only scheduling.
+  void set_threads(int threads) { opt_.threads = threads; }
+
+  /// Nets whose noiseless window changed in the last refresh() (exact
+  /// diffs vs. the previous report), ascending id. Empty after recompute().
+  const std::vector<net::NetId>& changed_noiseless() const {
+    return changed_noiseless_;
+  }
+  /// Nets whose noisy window or delay-noise bump changed, ascending id.
+  const std::vector<net::NetId>& changed_noisy() const { return changed_noisy_; }
+
+ private:
+  const net::Netlist* nl_;
+  const layout::Parasitics* par_;
+  const sta::DelayModel* model_;
+  const CouplingCalculator* calc_;
+  IterativeOptions opt_;
+
+  NoiseReport report_;
+  std::shared_ptr<const FixpointTrajectory> traj_;  ///< the last run's
+  std::vector<net::NetId> changed_noiseless_;
+  std::vector<net::NetId> changed_noisy_;
+};
 
 }  // namespace tka::noise

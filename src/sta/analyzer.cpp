@@ -1,12 +1,32 @@
 #include "sta/analyzer.hpp"
 
-#include <algorithm>
+#include <limits>
 
 #include "net/topo.hpp"
 #include "obs/obs.hpp"
 #include "util/assert.hpp"
 
 namespace tka::sta {
+
+void set_worst_po(const net::Netlist& nl, StaResult* state) {
+  state->max_lat = -std::numeric_limits<double>::infinity();
+  state->worst_po = net::kInvalidNet;
+  for (net::NetId id : nl.primary_outputs()) {
+    if (state->windows[id].lat > state->max_lat) {
+      state->max_lat = state->windows[id].lat;
+      state->worst_po = id;
+    }
+  }
+  if (state->worst_po == net::kInvalidNet) {
+    // No declared primary outputs: fall back to the globally latest net.
+    for (net::NetId id = 0; id < nl.num_nets(); ++id) {
+      if (state->windows[id].lat > state->max_lat) {
+        state->max_lat = state->windows[id].lat;
+        state->worst_po = id;
+      }
+    }
+  }
+}
 
 StaResult run_sta(const net::Netlist& nl, const DelayModel& model,
                   const StaOptions& options, const std::vector<double>* lat_bump) {
@@ -28,50 +48,11 @@ StaResult run_sta(const net::Netlist& nl, const DelayModel& model,
     result.gate_trans[g] = model.gate_trans_ns(g);
   }
 
+  const double* bump = lat_bump != nullptr ? lat_bump->data() : nullptr;
   for (net::NetId id : net::topological_nets(nl)) {
-    const net::Net& n = nl.net(id);
-    TimingWindow& w = result.windows[id];
-    if (n.driver == net::kInvalidGate) {
-      InputArrival arr;
-      if (options.input_arrival) arr = options.input_arrival(id);
-      TKA_ASSERT(arr.lat >= arr.eat);
-      w.eat = arr.eat;
-      w.lat = arr.lat;
-      w.trans_early = w.trans_late = model.pi_trans_ns(id);
-    } else {
-      const net::Gate& g = nl.gate(n.driver);
-      double eat = std::numeric_limits<double>::infinity();
-      double lat = -std::numeric_limits<double>::infinity();
-      for (net::NetId in : g.inputs) {
-        const TimingWindow& wi = result.windows[in];
-        eat = std::min(eat, wi.eat);
-        lat = std::max(lat, wi.lat);
-      }
-      const double d = result.gate_delay[n.driver];
-      w.eat = eat + d;
-      w.lat = lat + d;
-      w.trans_early = w.trans_late = result.gate_trans[n.driver];
-    }
-    if (lat_bump != nullptr) w.lat += (*lat_bump)[id];
-    TKA_ASSERT(w.lat >= w.eat);
+    compute_window(nl, model, options, result, bump, id, &result.windows[id]);
   }
-
-  result.max_lat = -std::numeric_limits<double>::infinity();
-  for (net::NetId id : nl.primary_outputs()) {
-    if (result.windows[id].lat > result.max_lat) {
-      result.max_lat = result.windows[id].lat;
-      result.worst_po = id;
-    }
-  }
-  if (result.worst_po == net::kInvalidNet) {
-    // No declared primary outputs: fall back to the globally latest net.
-    for (net::NetId id = 0; id < nl.num_nets(); ++id) {
-      if (result.windows[id].lat > result.max_lat) {
-        result.max_lat = result.windows[id].lat;
-        result.worst_po = id;
-      }
-    }
-  }
+  set_worst_po(nl, &result);
   return result;
 }
 

@@ -1,19 +1,11 @@
 #include "sta/incremental.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "net/topo.hpp"
 #include "util/assert.hpp"
 
 namespace tka::sta {
-
-IncrementalSta::IncrementalSta(const net::Netlist& nl, const DelayModel& model,
-                               const StaOptions& options)
-    : nl_(&nl), model_(&model), options_(options) {
-  result_ = run_sta(nl, model, options);
-  level_ = net::net_levels(nl);
-}
 
 IncrementalSta::IncrementalSta(const net::Netlist& nl, const DelayModel& model,
                                const StaOptions& options, StaResult state,
@@ -45,31 +37,16 @@ void IncrementalSta::set_lat_bump(net::NetId net, double bump) {
   dirty_.insert({level_[net], net});
 }
 
-void IncrementalSta::recompute_net(net::NetId id) {
-  const net::Net& n = nl_->net(id);
-  TimingWindow w;
-  if (n.driver == net::kInvalidGate) {
-    InputArrival arr;
-    if (options_.input_arrival) arr = options_.input_arrival(id);
-    w.eat = arr.eat;
-    w.lat = arr.lat;
-    w.trans_early = w.trans_late = model_->pi_trans_ns(id);
-  } else {
+bool IncrementalSta::recompute_net(net::NetId id) {
+  const net::GateId driver = nl_->net(id).driver;
+  if (driver != net::kInvalidGate) {
     // Refresh the driver's delay first (its load may have changed).
-    result_.gate_delay[n.driver] = model_->gate_delay_ns(n.driver);
-    result_.gate_trans[n.driver] = model_->gate_trans_ns(n.driver);
-    const net::Gate& g = nl_->gate(n.driver);
-    double eat = std::numeric_limits<double>::infinity();
-    double lat = -std::numeric_limits<double>::infinity();
-    for (net::NetId in : g.inputs) {
-      eat = std::min(eat, result_.windows[in].eat);
-      lat = std::max(lat, result_.windows[in].lat);
-    }
-    w.eat = eat + result_.gate_delay[n.driver];
-    w.lat = lat + result_.gate_delay[n.driver];
-    w.trans_early = w.trans_late = result_.gate_trans[n.driver];
+    result_.gate_delay[driver] = model_->gate_delay_ns(driver);
+    result_.gate_trans[driver] = model_->gate_trans_ns(driver);
   }
-  if (!bump_.empty()) w.lat += bump_[id];
+  TimingWindow w;
+  compute_window(*nl_, *model_, options_, result_,
+                 bump_.empty() ? nullptr : bump_.data(), id, &w);
   const bool changed = !(w == result_.windows[id]);
   result_.windows[id] = w;
   if (changed) {
@@ -78,6 +55,7 @@ void IncrementalSta::recompute_net(net::NetId id) {
       dirty_.insert({level_[out], out});
     }
   }
+  return changed;
 }
 
 size_t IncrementalSta::update() {
@@ -85,28 +63,10 @@ size_t IncrementalSta::update() {
   while (!dirty_.empty()) {
     const auto [lv, id] = *dirty_.begin();
     dirty_.erase(dirty_.begin());
-    const TimingWindow before = result_.windows[id];
-    recompute_net(id);
-    if (!(before == result_.windows[id])) last_changed_.push_back(id);
+    if (recompute_net(id)) last_changed_.push_back(id);
   }
   std::sort(last_changed_.begin(), last_changed_.end());
-  // Refresh the worst-PO summary.
-  result_.max_lat = -std::numeric_limits<double>::infinity();
-  result_.worst_po = net::kInvalidNet;
-  for (net::NetId id : nl_->primary_outputs()) {
-    if (result_.windows[id].lat > result_.max_lat) {
-      result_.max_lat = result_.windows[id].lat;
-      result_.worst_po = id;
-    }
-  }
-  if (result_.worst_po == net::kInvalidNet) {
-    for (net::NetId id = 0; id < nl_->num_nets(); ++id) {
-      if (result_.windows[id].lat > result_.max_lat) {
-        result_.max_lat = result_.windows[id].lat;
-        result_.worst_po = id;
-      }
-    }
-  }
+  set_worst_po(*nl_, &result_);
   return last_changed_.size();
 }
 

@@ -18,14 +18,11 @@ namespace tka::sta {
 /// modified externally between invalidate/update cycles.
 class IncrementalSta {
  public:
-  IncrementalSta(const net::Netlist& nl, const DelayModel& model,
-                 const StaOptions& options = {});
-
-  /// Adopts a previously computed `state` (and the per-net LAT bumps it was
-  /// computed under) instead of running a full STA. The incremental noise
-  /// fixpoint replays recorded iterations this way: adopt the old
-  /// iteration's windows, apply the new bumps and edit cone, update().
-  /// `lat_bump` may be empty (all zero).
+  /// Adopts a previously computed `state` and the per-net LAT bumps it was
+  /// computed under (`run_sta(nl, model, options)` with empty bumps for a
+  /// plain start). The noise fixpoint replays recorded iterations this
+  /// way: adopt the old iteration's windows, apply the new bumps and edit
+  /// cone, update(). `lat_bump` may be empty (all zero).
   IncrementalSta(const net::Netlist& nl, const DelayModel& model,
                  const StaOptions& options, StaResult state,
                  std::vector<double> lat_bump);
@@ -50,7 +47,9 @@ class IncrementalSta {
   const std::vector<net::NetId>& last_changed() const { return last_changed_; }
 
  private:
-  void recompute_net(net::NetId net);
+  /// Recomputes one net's window, dirtying its fanout when it changed;
+  /// returns whether it did.
+  bool recompute_net(net::NetId net);
 
   const net::Netlist* nl_;
   const DelayModel* model_;

@@ -25,7 +25,7 @@
 #include <utility>
 #include <vector>
 
-#include "noise/incremental_fixpoint.hpp"
+#include "noise/iterative.hpp"
 #include "obs/metrics.hpp"
 #include "topk/irredundant_list.hpp"
 #include "topk/topk_engine.hpp"

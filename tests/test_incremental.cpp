@@ -1,6 +1,8 @@
 // Tests for incremental STA: bit-exact equivalence with full re-analysis
-// after parasitic edits, and bounded re-propagation.
+// after parasitic and LAT-bump edits, and bounded re-propagation.
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "gen/circuit_generator.hpp"
 #include "layout/parasitics.hpp"
@@ -10,15 +12,32 @@
 namespace tka::sta {
 namespace {
 
+// Bit-exact equality with a full run: windows by TimingWindow's exact
+// member compare, the gate tables and the worst-PO summary.
 void expect_equal(const StaResult& a, const StaResult& b) {
   ASSERT_EQ(a.windows.size(), b.windows.size());
   for (size_t i = 0; i < a.windows.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.windows[i].eat, b.windows[i].eat) << "net " << i;
-    EXPECT_DOUBLE_EQ(a.windows[i].lat, b.windows[i].lat) << "net " << i;
-    EXPECT_DOUBLE_EQ(a.windows[i].trans_late, b.windows[i].trans_late);
+    EXPECT_TRUE(a.windows[i] == b.windows[i]) << "net " << i;
   }
-  EXPECT_DOUBLE_EQ(a.max_lat, b.max_lat);
+  EXPECT_EQ(a.gate_delay, b.gate_delay);
+  EXPECT_EQ(a.gate_trans, b.gate_trans);
+  EXPECT_EQ(a.max_lat, b.max_lat);
   EXPECT_EQ(a.worst_po, b.worst_po);
+}
+
+// Starts incremental STA from a full run, as every caller does.
+IncrementalSta primed(const net::Netlist& nl, const DelayModel& model,
+                      const StaOptions& options = {}) {
+  return IncrementalSta(nl, model, options, run_sta(nl, model, options), {});
+}
+
+gen::GeneratedCircuit generated(std::uint64_t seed) {
+  gen::GeneratorParams p;
+  p.name = "inc";
+  p.num_gates = 80;
+  p.target_couplings = 200;
+  p.seed = seed;
+  return gen::generate_circuit(p);
 }
 
 TEST(IncrementalSta, MatchesFullAfterCapChange) {
@@ -26,7 +45,7 @@ TEST(IncrementalSta, MatchesFullAfterCapChange) {
   layout::Parasitics par(nl->num_nets());
   for (net::NetId n = 0; n < nl->num_nets(); ++n) par.add_ground_cap(n, 0.01);
   DelayModel model(*nl, par);
-  IncrementalSta inc(*nl, model);
+  IncrementalSta inc = primed(*nl, model);
 
   const net::NetId target = nl->net_by_name("N11");
   par.add_ground_cap(target, 0.05);
@@ -41,7 +60,7 @@ TEST(IncrementalSta, NoChangeIsCheap) {
   layout::Parasitics par(nl->num_nets());
   for (net::NetId n = 0; n < nl->num_nets(); ++n) par.add_ground_cap(n, 0.01);
   DelayModel model(*nl, par);
-  IncrementalSta inc(*nl, model);
+  IncrementalSta inc = primed(*nl, model);
   inc.invalidate_net(nl->net_by_name("N11"));
   // Nothing actually changed in the parasitics.
   EXPECT_EQ(inc.update(), 0u);
@@ -49,14 +68,9 @@ TEST(IncrementalSta, NoChangeIsCheap) {
 }
 
 TEST(IncrementalSta, CoupledShieldWorkflow) {
-  gen::GeneratorParams p;
-  p.name = "inc";
-  p.num_gates = 80;
-  p.target_couplings = 200;
-  p.seed = 17;
-  gen::GeneratedCircuit ckt = gen::generate_circuit(p);
+  gen::GeneratedCircuit ckt = generated(17);
   DelayModel model(*ckt.netlist, ckt.parasitics);
-  IncrementalSta inc(*ckt.netlist, model, ckt.sta_options());
+  IncrementalSta inc = primed(*ckt.netlist, model, ckt.sta_options());
 
   // Shield the five largest couplings one at a time; the incremental result
   // must track the full recomputation at every step.
@@ -77,6 +91,31 @@ TEST(IncrementalSta, CoupledShieldWorkflow) {
   }
 }
 
+// The noise fixpoint's replay step: adopt a run under one bump vector and
+// move a few nets to another vector's bumps (raised, lowered, cleared).
+// Only those nets and the cones their windows reach are recomputed, yet
+// the result must be the full run under the other vector.
+TEST(IncrementalSta, AdoptedRunTracksChangedBumps) {
+  gen::GeneratedCircuit ckt = generated(29);
+  const net::Netlist& nl = *ckt.netlist;
+  DelayModel model(nl, ckt.parasitics);
+  const StaOptions opt = ckt.sta_options();
+  std::vector<double> bumps_a(nl.num_nets(), 0.0);
+  for (net::NetId n = 0; n < nl.num_nets(); n += 3) bumps_a[n] = 0.001 * (n % 7);
+
+  IncrementalSta inc(nl, model, opt, run_sta(nl, model, opt, &bumps_a),
+                     bumps_a);
+  std::vector<double> bumps_b = bumps_a;
+  const std::pair<net::NetId, double> moves[] = {
+      {2, 0.0125}, {9, 0.02}, {12, 0.0}, {33, 0.004}, {57, 0.03}};
+  for (const auto& [n, bump] : moves) {
+    bumps_b[n] = bump;
+    inc.set_lat_bump(n, bump);
+  }
+  EXPECT_GT(inc.update(), 0u);
+  expect_equal(inc.result(), run_sta(nl, model, opt, &bumps_b));
+}
+
 TEST(IncrementalSta, PiArrivalRefreshOnInvalidate) {
   auto nl = net::make_chain(3);
   layout::Parasitics par(nl->num_nets());
@@ -87,7 +126,7 @@ TEST(IncrementalSta, PiArrivalRefreshOnInvalidate) {
   opt.input_arrival = [&arrival](net::NetId) {
     return InputArrival{arrival, arrival};
   };
-  IncrementalSta inc(*nl, model, opt);
+  IncrementalSta inc = primed(*nl, model, opt);
   const double base = inc.result().max_lat;
 
   arrival = 0.3;
@@ -110,7 +149,7 @@ TEST(IncrementalSta, OnlyConeRecomputed) {
   layout::Parasitics par(nl->num_nets());
   for (net::NetId n = 0; n < nl->num_nets(); ++n) par.add_ground_cap(n, 0.01);
   DelayModel model(*nl, par);
-  IncrementalSta inc(*nl, model);
+  IncrementalSta inc = primed(*nl, model);
 
   const net::NetId tail1 = nl->net_by_name("n3");
   par.add_ground_cap(tail1, 0.1);

@@ -13,7 +13,6 @@
 #include "gen/circuit_generator.hpp"
 #include "noise/coupling_calc.hpp"
 #include "noise/envelope_builder.hpp"
-#include "noise/incremental_fixpoint.hpp"
 #include "noise/iterative.hpp"
 #include "noise/noise_analyzer.hpp"
 #include "obs/memory.hpp"
@@ -462,76 +461,129 @@ TEST(Iterative, IndirectAggressorNeedsIterations) {
   EXPECT_TRUE(found);
 }
 
-TEST(Iterative, PessimisticStartConvergesToSameFixpoint) {
-  Fixture fx = test::make_parallel_chains(3, 3);
-  test::couple(fx, "c0_n2", "c1_n2", 0.006);
-  test::couple(fx, "c1_n1", "c2_n1", 0.004);
-  Bound b(fx);
-  AnalyticCouplingCalculator calc(fx.parasitics, b.model);
-  IterativeOptions opt;
-  opt.sta = fx.sta_options();
-  const CouplingMask all = CouplingMask::all(fx.parasitics.num_couplings());
-  const NoiseReport up = analyze_iterative(*fx.netlist, fx.parasitics, b.model,
-                                           calc, all, opt);
-  opt.pessimistic_start = true;
-  const NoiseReport down = analyze_iterative(*fx.netlist, fx.parasitics,
-                                             b.model, calc, all, opt);
-  EXPECT_TRUE(up.converged);
-  EXPECT_TRUE(down.converged);
-  // The pessimistic fixpoint bounds the optimistic one from above; for this
-  // well-behaved circuit they should coincide closely.
-  EXPECT_GE(down.noisy_delay + 1e-9, up.noisy_delay);
-  EXPECT_NEAR(down.noisy_delay, up.noisy_delay, 0.02);
-}
-
 // refresh() after each shield edit must equal a cold recompute() on an
-// independently edited copy, bit for bit, from the default start and from
-// the pessimistic (upper-bound) start.
-TEST(IncrementalFixpointTest, RefreshMatchesColdRecomputeFromBothStarts) {
-  for (bool pessimistic : {false, true}) {
-    for (std::uint64_t seed : {3, 5, 8, 13, 21, 34}) {
-      gen::GeneratorParams p;
-      p.name = "incfix";
-      p.num_gates = 120;
-      p.target_couplings = 300;
-      p.seed = seed;
-      gen::GeneratedCircuit ckt = gen::generate_circuit(p);
-      layout::Parasitics cold_par(ckt.parasitics);
-      IterativeOptions opt;
-      opt.sta = ckt.sta_options();
-      opt.pessimistic_start = pessimistic;
-      const std::size_t num_caps = ckt.parasitics.num_couplings();
-      const CouplingMask all = CouplingMask::all(num_caps);
+// independently edited copy, bit for bit.
+TEST(IncrementalFixpointTest, RefreshMatchesColdRecompute) {
+  for (std::uint64_t seed : {3, 5, 8, 13, 21, 34}) {
+    gen::GeneratorParams p;
+    p.name = "incfix";
+    p.num_gates = 120;
+    p.target_couplings = 300;
+    p.seed = seed;
+    gen::GeneratedCircuit ckt = gen::generate_circuit(p);
+    layout::Parasitics cold_par(ckt.parasitics);
+    IterativeOptions opt;
+    opt.sta = ckt.sta_options();
+    const std::size_t num_caps = ckt.parasitics.num_couplings();
+    const CouplingMask all = CouplingMask::all(num_caps);
 
-      sta::DelayModel model(*ckt.netlist, ckt.parasitics);
-      AnalyticCouplingCalculator calc(ckt.parasitics, model);
-      IncrementalFixpoint warm(*ckt.netlist, ckt.parasitics, model, calc, opt);
-      warm.recompute(all);
+    sta::DelayModel model(*ckt.netlist, ckt.parasitics);
+    AnalyticCouplingCalculator calc(ckt.parasitics, model);
+    IncrementalFixpoint warm(*ckt.netlist, ckt.parasitics, model, calc, opt);
+    warm.recompute(all);
 
-      std::mt19937 rng(static_cast<unsigned>(seed));
-      for (int e = 0; e < 6; ++e) {
-        const layout::CapId cap = static_cast<layout::CapId>(rng() % num_caps);
-        ckt.parasitics.shield_coupling(cap);
-        cold_par.shield_coupling(cap);
-        const layout::CouplingCap& cc = ckt.parasitics.coupling(cap);
-        const net::NetId nets[] = {cc.net_a, cc.net_b};
-        const layout::CapId caps[] = {cap};
-        const NoiseReport& got = warm.refresh(nets, caps, all);
+    std::mt19937 rng(static_cast<unsigned>(seed));
+    for (int e = 0; e < 6; ++e) {
+      const layout::CapId cap = static_cast<layout::CapId>(rng() % num_caps);
+      ckt.parasitics.shield_coupling(cap);
+      cold_par.shield_coupling(cap);
+      const layout::CouplingCap& cc = ckt.parasitics.coupling(cap);
+      const net::NetId nets[] = {cc.net_a, cc.net_b};
+      const layout::CapId caps[] = {cap};
+      const NoiseReport& got = warm.refresh(nets, caps, all);
 
-        sta::DelayModel cold_model(*ckt.netlist, cold_par);
-        AnalyticCouplingCalculator cold_calc(cold_par, cold_model);
-        IncrementalFixpoint cold(*ckt.netlist, cold_par, cold_model, cold_calc,
-                                 opt);
-        const NoiseReport& want = cold.recompute(all);
-        SCOPED_TRACE(testing::Message() << "seed " << seed << " edit " << e
-                                        << " pessimistic " << pessimistic);
-        EXPECT_EQ(got.delay_noise, want.delay_noise);
-        EXPECT_EQ(got.noisy_delay, want.noisy_delay);
-        EXPECT_EQ(got.iterations, want.iterations);
-        EXPECT_EQ(got.converged, want.converged);
-      }
+      sta::DelayModel cold_model(*ckt.netlist, cold_par);
+      AnalyticCouplingCalculator cold_calc(cold_par, cold_model);
+      IncrementalFixpoint cold(*ckt.netlist, cold_par, cold_model, cold_calc,
+                               opt);
+      const NoiseReport& want = cold.recompute(all);
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " edit " << e);
+      EXPECT_EQ(got.delay_noise, want.delay_noise);
+      EXPECT_EQ(got.noisy_delay, want.noisy_delay);
+      EXPECT_EQ(got.iterations, want.iterations);
+      EXPECT_EQ(got.converged, want.converged);
     }
   }
+}
+
+// Cold runs and replays tick disjoint counters, and a replay after no
+// edit reuses every recorded step: no full STA runs and no victim relaxes.
+TEST(IncrementalFixpointTest, CountersSplitColdFromReplay) {
+  gen::GeneratorParams p;
+  p.name = "incfix";
+  p.num_gates = 120;
+  p.target_couplings = 300;
+  p.seed = 5;
+  const gen::GeneratedCircuit ckt = gen::generate_circuit(p);
+  sta::DelayModel model(*ckt.netlist, ckt.parasitics);
+  AnalyticCouplingCalculator calc(ckt.parasitics, model);
+  IterativeOptions opt;
+  opt.sta = ckt.sta_options();
+  opt.threads = 1;
+  const CouplingMask all = CouplingMask::all(ckt.parasitics.num_couplings());
+
+  // Counter deltas over one call; empty when observability is compiled out.
+  obs::MetricsSnapshot delta;
+  const auto count = [&delta](const auto& call) {
+    const obs::MetricsSnapshot before = obs::registry().snapshot();
+    call();
+    delta = obs::counters_delta(before, obs::registry().snapshot());
+  };
+  [[maybe_unused]] const auto ticks = [&delta](const char* name) {
+    const auto it = delta.counters.find(name);
+    return it == delta.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  [[maybe_unused]] const auto expect_cold = [&](int iterations) {
+    const auto iters = static_cast<std::uint64_t>(iterations);
+    EXPECT_EQ(ticks("noise.fixpoint_runs"), 1u);
+    EXPECT_EQ(ticks("noise.fixpoint_iterations"), iters);
+    EXPECT_EQ(ticks("sta.runs"), iters + 2);
+    EXPECT_EQ(ticks("noise.fixpoint_refreshes"), 0u);
+    EXPECT_EQ(ticks("noise.fixpoint_refresh_iterations"), 0u);
+    EXPECT_EQ(ticks("noise.fixpoint_refresh_victims"), 0u);
+  };
+  const auto expect_same = [](const NoiseReport& a, const NoiseReport& b) {
+    EXPECT_EQ(a.noiseless_windows, b.noiseless_windows);
+    EXPECT_EQ(a.noisy_windows, b.noisy_windows);
+    EXPECT_EQ(a.delay_noise, b.delay_noise);
+    EXPECT_EQ(a.noiseless_delay, b.noiseless_delay);
+    EXPECT_EQ(a.noisy_delay, b.noisy_delay);
+    EXPECT_EQ(a.worst_po, b.worst_po);
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(a.converged, b.converged);
+  };
+
+  NoiseReport cold;
+  count([&] {
+    cold = analyze_iterative(*ckt.netlist, ckt.parasitics, model, calc, all,
+                             opt);
+  });
+  ASSERT_TRUE(cold.converged);
+  ASSERT_GT(cold.iterations, 1);
+#ifndef TKA_OBS_DISABLED
+  expect_cold(cold.iterations);
+#endif
+
+  IncrementalFixpoint fp(*ckt.netlist, ckt.parasitics, model, calc, opt);
+  count([&] { fp.recompute(all); });
+  expect_same(fp.report(), cold);
+#ifndef TKA_OBS_DISABLED
+  expect_cold(cold.iterations);
+#endif
+
+  count([&] { fp.refresh({}, {}, all); });
+  expect_same(fp.report(), cold);
+  EXPECT_TRUE(fp.changed_noiseless().empty());
+  EXPECT_TRUE(fp.changed_noisy().empty());
+#ifndef TKA_OBS_DISABLED
+  EXPECT_EQ(ticks("noise.fixpoint_refreshes"), 1u);
+  EXPECT_EQ(ticks("noise.fixpoint_refresh_iterations"),
+            static_cast<std::uint64_t>(cold.iterations));
+  EXPECT_EQ(ticks("noise.fixpoint_refresh_victims"), 0u);
+  EXPECT_EQ(ticks("sta.runs"), 0u);
+  EXPECT_EQ(ticks("noise.fixpoint_runs"), 0u);
+  EXPECT_EQ(ticks("noise.fixpoint_iterations"), 0u);
+#endif
 }
 
 // The false-aggressor rule on one side of `fx`, under its noiseless

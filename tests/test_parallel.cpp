@@ -150,16 +150,6 @@ TEST(ParallelEquivalence, FixpointBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(par.iterations, serial.iterations) << threads;
     EXPECT_EQ(par.converged, serial.converged) << threads;
   }
-  // The pessimistic (upper-bound) start parallelizes one more loop.
-  it.pessimistic_start = true;
-  it.threads = 1;
-  const noise::NoiseReport pes_serial = noise::analyze_iterative(
-      *pl.ckt.netlist, pl.ckt.parasitics, *pl.model, *pl.calc, mask, it);
-  it.threads = 4;
-  const noise::NoiseReport pes_par = noise::analyze_iterative(
-      *pl.ckt.netlist, pl.ckt.parasitics, *pl.model, *pl.calc, mask, it);
-  EXPECT_EQ(pes_par.delay_noise, pes_serial.delay_noise);
-  EXPECT_EQ(pes_par.noisy_delay, pes_serial.noisy_delay);
 }
 
 TEST(ParallelEquivalence, BruteForceBitIdenticalAcrossThreadCounts) {
