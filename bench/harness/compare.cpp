@@ -99,9 +99,9 @@ void compare_one(const std::string& name, const json::Value& base,
     const bool base_has = bc != nullptr && bc->is_object() && !bc->object.empty();
     const bool cand_has = cc != nullptr && cc->is_object() && !cc->object.empty();
     if (base_has && !cand_has) {
-      // An obs-disabled build records no counters at all; that is a build
-      // configuration difference, not a perf regression.
-      result->notes.push_back(name + ": candidate has no counters, skipping");
+      // Every build records counters, so a case with none lost its
+      // instrumentation. Missing only some keys reads as zero work below.
+      result->regressions.push_back(name + ": candidate records no counters");
     } else if (base_has) {
       for (const auto& [key, bval] : bc->object) {
         if (!bval.is_number()) continue;

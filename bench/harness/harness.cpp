@@ -223,7 +223,6 @@ bool Harness::run_case(const std::string& name,
         runtime::lane_snapshot();
     Timer t;
     {
-#if TKA_OBS_ENABLED
       // Book the whole timed rep as exec on the calling lane so even
       // suites that never fan out (pure-serial kernels) report per-thread
       // utilization. Nested pool scopes still attribute exactly: a
@@ -234,7 +233,6 @@ bool Harness::run_case(const std::string& name,
       runtime::telemetry::PhaseScope exec(lane,
                                           runtime::telemetry::Phase::kExec);
       lane.tasks.fetch_add(1, std::memory_order_relaxed);
-#endif
       fn(reporter);
     }
     samples.push_back(t.seconds());
@@ -271,8 +269,7 @@ bool Harness::run_case(const std::string& name,
       result.lanes.push_back(u);
     }
   }
-  // RSS readings stay available even with TKA_OBS_DISABLED (plain /proc
-  // reads); VmHWM is the kernel-maintained process peak.
+  // Plain /proc reads; VmHWM is the kernel-maintained process peak.
   result.rss_bytes = obs::current_rss_bytes();
   result.peak_rss_bytes = obs::peak_rss_bytes();
   {
@@ -297,8 +294,7 @@ std::string render_bench_json(const HarnessConfig& config,
   out << "    \"scale\": " << config.scale << ",\n";
   out << "    \"reps\": " << config.reps << ",\n";
   out << "    \"warmup\": " << config.warmup << ",\n";
-  out << "    \"threads\": " << runtime::resolve_threads(config.threads) << ",\n";
-  out << "    \"obs_enabled\": " << (TKA_OBS_ENABLED ? "true" : "false") << "\n";
+  out << "    \"threads\": " << runtime::resolve_threads(config.threads) << "\n";
   out << "  },\n";
   out << "  \"benchmarks\": [";
   bool first_case = true;

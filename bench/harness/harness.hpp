@@ -97,8 +97,7 @@ class Reporter {
 };
 
 /// One execution lane's activity during a case's last timed rep (from
-/// runtime::lane_delta; empty with TKA_OBS_DISABLED). `utilization` is
-/// exec_s / wall_s over the rep.
+/// runtime::lane_delta). `utilization` is exec_s / wall_s over the rep.
 struct LaneUsage {
   int lane = 0;
   bool worker = false;

@@ -154,9 +154,8 @@ long parse_epoch(const std::string& resp) {
 /// Serving-side split and snapshot footprint, read from the in-process
 /// metrics registry: where an admitted request spends its time (queueing
 /// vs executing, cumulative across the suite's cases) and what the
-/// snapshot chain costs. Telemetry only — machine-dependent, and zero
-/// with TKA_OBS_DISABLED. tools/perf_report renders these as the serving
-/// section.
+/// snapshot chain costs. Telemetry only — machine-dependent.
+/// tools/perf_report renders these as the serving section.
 void report_serving_telemetry(bench::Reporter& r) {
   obs::MetricsRegistry& reg = obs::registry();
   r.telemetry("queue_wait_p50_ms",

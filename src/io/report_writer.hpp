@@ -29,8 +29,7 @@ void write_noise_report_json(std::ostream& out, const net::Netlist& nl,
 ///              "beam_capped": int, "max_list_size": int,
 ///              "runtime_by_k_s": [num, ...] } }
 /// Times are wall-clock seconds from the obs monotonic clock (see
-/// topk::TopkStats); "sets_generated" is 0 when the library was built with
-/// TKA_OBS_DISABLED.
+/// topk::TopkStats).
 void write_topk_result_json(std::ostream& out, const net::Netlist& nl,
                             const layout::Parasitics& par,
                             const topk::TopkResult& result, int k);

@@ -97,7 +97,7 @@ class EnvelopeBuilder {
   std::once_flag table_once_;
   std::unique_ptr<Slot[]> table_;  // 2 * num_couplings slots, lazily
   std::size_t table_size_ = 0;
-  // Hit/miss tallies (relaxed atomics; no-ops with TKA_OBS_DISABLED). A
+  // Hit/miss tallies (relaxed atomic registry counters). A
   // side is built at most once between invalidations, so misses count the
   // builds and hits + misses count envelope() calls, at any thread count.
   obs::Counter& cache_hits_;

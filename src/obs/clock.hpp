@@ -2,9 +2,9 @@
 //
 // Every runtime figure the library reports — span timestamps, histogram
 // samples, TopkStats::runtime_s / runtime_by_k — is derived from this
-// clock, so numbers from different layers are directly comparable. This
-// header is intentionally independent of TKA_OBS_DISABLED: compiling the
-// tracing/metrics hooks out must not change how runtimes are measured.
+// clock, so numbers from different layers are directly comparable. The
+// header depends on nothing else in obs, so any layer can time itself
+// without pulling in the metrics registry or the tracer.
 #pragma once
 
 #include <chrono>

@@ -1,21 +1,18 @@
 #include "obs/export.hpp"
 
-#include <ostream>
-
-#include "obs/clock.hpp"
-#include "obs/memory.hpp"
-#include "util/string_util.hpp"
-
-#if TKA_OBS_ENABLED
-
 #include <cctype>
 #include <cmath>
+#include <condition_variable>
 #include <fstream>
 #include <mutex>
+#include <ostream>
 #include <thread>
 #include <vector>
 
-#include <condition_variable>
+#include "obs/clock.hpp"
+#include "obs/memory.hpp"
+#include "obs/metrics.hpp"
+#include "util/string_util.hpp"
 
 namespace tka::obs {
 namespace {
@@ -196,39 +193,3 @@ std::uint64_t MetricsFileSink::records() const {
 }
 
 }  // namespace tka::obs
-
-#else  // !TKA_OBS_ENABLED
-
-#include <fstream>
-
-namespace tka::obs {
-
-void add_collector(void (*)()) {}
-void run_collectors() {}
-
-void write_prometheus_text(std::ostream& out) {
-  out << "# observability compiled out (TKA_OBS_DISABLED)\n";
-}
-
-void write_snapshot_line(std::ostream& out) {
-  out << "{\"t_s\": " << str::format("%.9g", ns_to_seconds(now_ns()))
-      << ", \"rss_bytes\": " << current_rss_bytes()
-      << ", \"counters\": {}, \"gauges\": {}, \"histograms\": {}}";
-}
-
-MetricsFileSink::MetricsFileSink(std::string path, int) : path_(std::move(path)) {
-  std::ofstream out(path_);
-  ok_ = out.is_open();
-}
-
-void MetricsFileSink::stop() {
-  if (stopped_ || !ok_) return;
-  stopped_ = true;
-  std::ofstream out(path_);
-  write_snapshot_line(out);
-  out << "\n";
-}
-
-}  // namespace tka::obs
-
-#endif  // TKA_OBS_ENABLED

@@ -2,16 +2,11 @@
 // JSON-lines periodic snapshots, and the collector hook that lets higher
 // layers (runtime telemetry) publish derived gauges just before a snapshot
 // without obs depending on them.
-//
-// With TKA_OBS_DISABLED the writers still emit syntactically valid (empty)
-// output and MetricsFileSink still creates its file, so downstream tooling
-// never has to special-case disabled builds.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
-
-#include "obs/metrics.hpp"  // defines TKA_OBS_ENABLED
 
 namespace tka::obs {
 
@@ -37,8 +32,6 @@ void write_prometheus_text(std::ostream& out);
 /// Runs collectors first. No trailing newline — callers add it.
 void write_snapshot_line(std::ostream& out);
 
-#if TKA_OBS_ENABLED
-
 /// Periodic JSONL snapshot writer: appends one write_snapshot_line record
 /// every `interval_ms` on a background thread, plus a final record when
 /// stopped/destroyed. Maps to --metrics-out FILE --metrics-interval MS on
@@ -62,24 +55,5 @@ class MetricsFileSink {
   Impl* impl_;
   bool ok_ = false;
 };
-
-#else  // !TKA_OBS_DISABLED — sink creates the file, writes one empty record.
-
-class MetricsFileSink {
- public:
-  MetricsFileSink(std::string path, int interval_ms = 500);
-  ~MetricsFileSink() { stop(); }
-  void stop();
-
-  bool ok() const { return ok_; }
-  std::uint64_t records() const { return ok_ ? 1u : 0u; }
-
- private:
-  std::string path_;
-  bool ok_ = false;
-  bool stopped_ = false;
-};
-
-#endif  // TKA_OBS_ENABLED
 
 }  // namespace tka::obs

@@ -1,7 +1,10 @@
 #include "obs/memory.hpp"
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <string>
 
 namespace tka::obs {
 namespace {
@@ -31,15 +34,6 @@ std::uint64_t current_rss_bytes() { return read_status_kb("VmRSS") * 1024; }
 
 std::uint64_t peak_rss_bytes() { return read_status_kb("VmHWM") * 1024; }
 
-}  // namespace tka::obs
-
-#if TKA_OBS_ENABLED
-
-#include <chrono>
-#include <map>
-#include <string>
-
-namespace tka::obs {
 namespace {
 
 // Interned per-name totals for TrackedBytes. Entries are never removed, so
@@ -144,5 +138,3 @@ std::int64_t TrackedBytes::total(std::string_view gauge_name) {
 }
 
 }  // namespace tka::obs
-
-#endif  // TKA_OBS_ENABLED

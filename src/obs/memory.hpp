@@ -3,16 +3,18 @@
 // candidate tables, what-if memo) publish their approximate footprint as
 // mem.* gauges.
 //
-// The raw RSS readers stay available with TKA_OBS_DISABLED (like
-// obs::now_ns) so the bench harness can always record peak_rss_bytes; the
-// sampler and TrackedBytes collapse to no-ops, matching the rest of obs.
+// The raw RSS readers are plain /proc reads with no registry behind them,
+// so the bench harness records peak_rss_bytes without the sampler running.
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
-
+#include <mutex>
 #include <string_view>
+#include <thread>
 
-#include "obs/metrics.hpp"  // defines TKA_OBS_ENABLED
+#include "obs/metrics.hpp"
 
 namespace tka::obs {
 
@@ -23,17 +25,6 @@ std::uint64_t current_rss_bytes();
 /// Kernel-maintained peak resident set size in bytes (VmHWM). Monotone for
 /// the life of the process. Returns 0 when unavailable.
 std::uint64_t peak_rss_bytes();
-
-}  // namespace tka::obs
-
-#if TKA_OBS_ENABLED
-
-#include <atomic>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
-
-namespace tka::obs {
 
 /// Background thread that samples RSS every `interval_ms` and publishes the
 /// mem.rss_bytes (timeline) and mem.rss_peak_bytes (monotone high-water)
@@ -103,28 +94,3 @@ class TrackedBytes {
 };
 
 }  // namespace tka::obs
-
-#else  // !TKA_OBS_ENABLED — sampler and byte tracking are no-ops.
-
-namespace tka::obs {
-
-class RssSampler {
- public:
-  explicit RssSampler(int = 100) {}
-  void stop() {}
-  std::uint64_t peak() const { return 0; }
-  std::uint64_t samples() const { return 0; }
-};
-
-class TrackedBytes {
- public:
-  explicit TrackedBytes(std::string_view) {}
-  void add(std::int64_t) {}
-  void set(std::int64_t) {}
-  std::int64_t held() const { return 0; }
-  static std::int64_t total(std::string_view) { return 0; }
-};
-
-}  // namespace tka::obs
-
-#endif  // TKA_OBS_ENABLED

@@ -29,11 +29,6 @@ MetricsSnapshot counters_delta(const MetricsSnapshot& before,
   return delta;
 }
 
-}  // namespace tka::obs
-
-#if TKA_OBS_ENABLED
-
-namespace tka::obs {
 namespace {
 
 std::string num(double v) { return str::format("%.9g", v); }
@@ -237,21 +232,3 @@ void register_core_metrics() {
 }
 
 }  // namespace tka::obs
-
-#else  // !TKA_OBS_ENABLED
-
-namespace tka::obs {
-
-void MetricsRegistry::write_json(std::ostream& out) const {
-  out << "{\n";
-  write_json_fields(out);
-  out << "\n}";
-}
-
-void MetricsRegistry::write_json_fields(std::ostream& out) const {
-  out << "  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {}";
-}
-
-}  // namespace tka::obs
-
-#endif  // TKA_OBS_ENABLED

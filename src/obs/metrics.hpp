@@ -11,26 +11,22 @@
 // Metric objects are never destroyed or reallocated once registered —
 // references stay valid for the life of the process, including across
 // registry().reset(), which only zeroes values.
-//
-// Compile-out: with TKA_OBS_DISABLED defined (cmake -DTKA_OBS_DISABLED=1)
-// every type below collapses to an empty inline no-op — no atomics, no
-// map, no allocation — and counter reads return 0. Code that *reports*
-// counter-derived numbers must treat zero as "observability disabled".
 #pragma once
 
+#include <array>
+#include <atomic>
+#include <bit>
 #include <cstdint>
-
+#include <functional>
 #include <iosfwd>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <string_view>
 
-#if defined(TKA_OBS_DISABLED) && TKA_OBS_DISABLED
-#define TKA_OBS_ENABLED 0
-#else
+// Always 1: observability has one build; perfbench still prints the macro.
 #define TKA_OBS_ENABLED 1
-#endif
-
-#include <map>
-#include <string>
 
 namespace tka::obs {
 
@@ -50,8 +46,7 @@ struct HistogramStats {
 
 /// Point-in-time copy of every metric in the registry: counters, gauges,
 /// and per-histogram distribution summaries (count/sum/p50/p90/max — full
-/// bucket arrays stay behind write_json()/visit_histograms()). With
-/// TKA_OBS_DISABLED the snapshot is empty.
+/// bucket arrays stay behind write_json()/visit_histograms()).
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
@@ -68,19 +63,6 @@ struct MetricsSnapshot {
 /// not monotone tallies, so the delta carries `after`'s values for them.
 MetricsSnapshot counters_delta(const MetricsSnapshot& before,
                                const MetricsSnapshot& after);
-
-}  // namespace tka::obs
-
-#if TKA_OBS_ENABLED
-
-#include <array>
-#include <atomic>
-#include <bit>
-#include <functional>
-#include <memory>
-#include <mutex>
-
-namespace tka::obs {
 
 /// Monotonically increasing event count.
 class Counter {
@@ -202,64 +184,3 @@ MetricsRegistry& registry();
 void register_core_metrics();
 
 }  // namespace tka::obs
-
-#else  // !TKA_OBS_ENABLED — every hook is an inline no-op.
-
-namespace tka::obs {
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) {}
-  std::uint64_t value() const { return 0; }
-  void reset() {}
-};
-
-class Gauge {
- public:
-  void set(double) {}
-  double value() const { return 0.0; }
-  void reset() {}
-};
-
-class Histogram {
- public:
-  static constexpr std::size_t kNumBuckets = 32;
-  void observe(double) {}
-  std::uint64_t count() const { return 0; }
-  double sum() const { return 0.0; }
-  std::uint64_t bucket_count(std::size_t) const { return 0; }
-  double bucket_upper(std::size_t) const { return 0.0; }
-  HistogramStats stats() const { return {}; }
-  void reset() {}
-};
-
-class MetricsRegistry {
- public:
-  Counter& counter(std::string_view) { return counter_; }
-  Gauge& gauge(std::string_view) { return gauge_; }
-  Histogram& histogram(std::string_view, double = 0.0, double = 0.0) {
-    return histogram_;
-  }
-  void write_json(std::ostream& out) const;
-  void write_json_fields(std::ostream& out) const;
-  MetricsSnapshot snapshot() const { return {}; }
-  template <typename Fn>
-  void visit_histograms(const Fn&) const {}
-  void reset() {}
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-inline MetricsRegistry& registry() {
-  static MetricsRegistry stub;
-  return stub;
-}
-
-inline void register_core_metrics() {}
-
-}  // namespace tka::obs
-
-#endif  // TKA_OBS_ENABLED

@@ -1,13 +1,5 @@
-// Umbrella header for the observability layer plus convenience macros.
-//
-//   TKA_OBS_SPAN(name);            // anonymous RAII span for this scope
-//   TKA_OBS_COUNT(name, n);        // one-shot counter bump (looks up the
-//                                  // registry; hoist the lookup in loops)
-//
-// With TKA_OBS_DISABLED both macros compile to nothing; the classes in
-// metrics.hpp / trace.hpp are inline no-op stubs, so explicit
-// ScopedSpan/Counter/Histogram usage also vanishes. See
-// docs/OBSERVABILITY.md for the metric name catalog.
+// Umbrella header for the observability layer. See docs/OBSERVABILITY.md
+// for the metric name catalog.
 #pragma once
 
 #include "obs/clock.hpp"
@@ -16,25 +8,10 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
-#define TKA_OBS_CONCAT_INNER(a, b) a##b
-#define TKA_OBS_CONCAT(a, b) TKA_OBS_CONCAT_INNER(a, b)
-
-#if TKA_OBS_ENABLED
-#define TKA_OBS_SPAN(name) \
-  ::tka::obs::ScopedSpan TKA_OBS_CONCAT(tka_obs_span_, __LINE__)(name)
-#define TKA_OBS_COUNT(name, n) ::tka::obs::registry().counter(name).add(n)
-#else
-#define TKA_OBS_SPAN(name) ((void)0)
-#define TKA_OBS_COUNT(name, n) ((void)0)
-#endif
-
 namespace tka::obs {
 
-#if TKA_OBS_ENABLED
-
 /// RAII timer: observes elapsed wall-clock seconds into a histogram when
-/// the scope exits. Compiles out entirely (including the clock reads) with
-/// TKA_OBS_DISABLED.
+/// the scope exits.
 class ScopedHistogramTimer {
  public:
   explicit ScopedHistogramTimer(Histogram& hist)
@@ -47,14 +24,5 @@ class ScopedHistogramTimer {
   Histogram& hist_;
   std::int64_t start_ns_;
 };
-
-#else
-
-class ScopedHistogramTimer {
- public:
-  explicit ScopedHistogramTimer(Histogram&) {}
-};
-
-#endif
 
 }  // namespace tka::obs

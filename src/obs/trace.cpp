@@ -1,15 +1,13 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
+#include <map>
 #include <ostream>
 
 #include "obs/clock.hpp"
+#include "obs/metrics.hpp"
 #include "util/json.hpp"
 #include "util/string_util.hpp"
-
-#if TKA_OBS_ENABLED
-
-#include <algorithm>
-#include <map>
 
 namespace tka::obs {
 
@@ -279,21 +277,3 @@ void write_metrics_json(std::ostream& out) {
 }
 
 }  // namespace tka::obs
-
-#else  // !TKA_OBS_ENABLED
-
-namespace tka::obs {
-
-void Tracer::write_chrome_json(std::ostream& out) const {
-  out << "{\"displayTimeUnit\": \"ns\", \"traceEvents\": []}";
-}
-
-void write_metrics_json(std::ostream& out) {
-  out << "{\n";
-  registry().write_json_fields(out);
-  out << ",\n  \"spans\": []\n}";
-}
-
-}  // namespace tka::obs
-
-#endif  // TKA_OBS_ENABLED

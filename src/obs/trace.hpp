@@ -14,24 +14,15 @@
 // begun on a worker is a root of that worker's lane. Export/summary/clear
 // aggregate across all buffers. Each thread's lane carries a stable small
 // `tid` (registration ordinal) in the Chrome trace.
-//
-// With TKA_OBS_DISABLED, ScopedSpan and Tracer collapse to inline no-ops
-// (empty trace, empty summary) — see metrics.hpp for the convention.
 #pragma once
 
-#include <cstdint>
-
-#include <iosfwd>
-#include <string_view>
-
-#include "obs/metrics.hpp"  // defines TKA_OBS_ENABLED
-
-#if TKA_OBS_ENABLED
-
 #include <atomic>
+#include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tka::obs {
@@ -120,50 +111,6 @@ class ScopedSpan {
   std::int64_t start_ns_ = 0;
   std::string args_;
 };
-
-}  // namespace tka::obs
-
-#else  // !TKA_OBS_ENABLED
-
-namespace tka::obs {
-
-struct SpanSummary {
-  const char* path = "";
-  std::size_t depth = 0;
-  std::uint64_t count = 0;
-  double total_s = 0.0;
-  double self_s = 0.0;
-};
-
-class Tracer {
- public:
-  void enable(bool) {}
-  bool enabled() const { return false; }
-  void clear() {}
-  std::size_t num_events() const { return 0; }
-  void write_chrome_json(std::ostream& out) const;
-  void write_summary(std::ostream&) const {}
-};
-
-inline Tracer& tracer() {
-  static Tracer stub;
-  return stub;
-}
-
-class ScopedSpan {
- public:
-  explicit ScopedSpan(std::string_view) {}
-  bool recording() const { return false; }
-  ScopedSpan& arg(std::string_view, std::int64_t) { return *this; }
-  ScopedSpan& arg(std::string_view, double) { return *this; }
-  ScopedSpan& arg(std::string_view, std::string_view) { return *this; }
-};
-
-}  // namespace tka::obs
-
-#endif  // TKA_OBS_ENABLED
-
-namespace tka::obs {
 
 /// One-stop dump for `--metrics` and the bench harness: the registry JSON
 /// plus a "spans" array from the tracer summary —

@@ -32,7 +32,6 @@ std::size_t chunk_grain(std::size_t n, int threads, std::size_t grain) {
 
 void run_inline(std::size_t begin, std::size_t end,
                 const std::function<void(std::size_t)>& fn) {
-#if TKA_OBS_ENABLED
   // A top-level inline loop books exec on the calling lane (so 1-thread
   // runs still report utilization); nested calls, already inside an
   // accounted phase, skip the clock reads and stay attributed to the
@@ -45,7 +44,6 @@ void run_inline(std::size_t begin, std::size_t end,
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
-#endif
   for (std::size_t i = begin; i < end; ++i) fn(i);
 }
 
@@ -95,9 +93,7 @@ void parallel_for(int requested, std::size_t begin, std::size_t end,
     return;
   }
   TaskGraph graph((n + g - 1) / g);
-#if TKA_OBS_ENABLED
   telemetry::note_dynamic_for();
-#endif
   graph.run(threads, [&](std::size_t c) {
     const std::size_t lo = begin + c * g;
     const std::size_t hi = std::min(end, lo + g);

@@ -116,11 +116,9 @@ void exec_task(RunState& st, std::size_t t, std::size_t lane_id) {
   }
   bool failed = false;
   try {
-#if TKA_OBS_ENABLED
     telemetry::LaneSlot& lane = telemetry::this_lane(/*worker=*/false);
     telemetry::PhaseScope exec(lane, telemetry::Phase::kExec);
     lane.tasks.fetch_add(1, std::memory_order_relaxed);
-#endif
     st.body(t);
   } catch (...) {
     st.errors[t] = std::current_exception();
@@ -162,11 +160,9 @@ void steal_loop(const std::shared_ptr<RunState>& stp, std::size_t lane_id,
                 bool is_worker) {
   RunState& st = *stp;
   std::size_t rng = steal_seed() | 1;
-#if TKA_OBS_ENABLED
   telemetry::LaneSlot& lane = telemetry::this_lane(is_worker);
   const telemetry::Phase idle_phase =
       is_worker ? telemetry::Phase::kQueueIdle : telemetry::Phase::kBarrierWait;
-#endif
   for (;;) {
     if (st.remaining.load(std::memory_order_acquire) == 0) return;
     std::uint64_t seen;
@@ -180,16 +176,12 @@ void steal_loop(const std::shared_ptr<RunState>& stp, std::size_t lane_id,
       continue;
     }
     if (try_steal(st, lane_id, rng, t)) {
-#if TKA_OBS_ENABLED
       lane.steals.fetch_add(1, std::memory_order_relaxed);
-#endif
       exec_task(st, t, lane_id);
       continue;
     }
     {
-#if TKA_OBS_ENABLED
       telemetry::PhaseScope idle(lane, idle_phase);
-#endif
       std::unique_lock<std::mutex> lock(st.wake_mu);
       ++st.parked;
       st.wake_cv.wait(lock, [&]() {
@@ -279,11 +271,8 @@ void TaskGraph::run(int threads, std::function<void(std::size_t)> body) {
   }
   if (num_tasks_ == 0) return;
   const int resolved = resolve_threads(threads);
-#if TKA_OBS_ENABLED
   telemetry::note_task_graph(num_tasks_, edges_.size());
-#endif
   if (resolved <= 1 || num_tasks_ == 1 || on_pool_thread()) {
-#if TKA_OBS_ENABLED
     // Top-level inline graphs book exec on the calling lane, like
     // parallel_for's inline path; nested runs stay attributed to the
     // enclosing scope.
@@ -294,7 +283,6 @@ void TaskGraph::run(int threads, std::function<void(std::size_t)> body) {
       run_serial(body);
       return;
     }
-#endif
     run_serial(body);
     return;
   }

@@ -1,5 +1,12 @@
 #include "runtime/telemetry.hpp"
 
+#include <memory>
+#include <mutex>
+
+#include "obs/export.hpp"
+#include "obs/metrics.hpp"
+#include "util/string_util.hpp"
+
 namespace tka::runtime {
 
 std::vector<LaneCounters> lane_delta(const std::vector<LaneCounters>& before,
@@ -24,17 +31,6 @@ std::vector<LaneCounters> lane_delta(const std::vector<LaneCounters>& before,
   return delta;
 }
 
-}  // namespace tka::runtime
-
-#if TKA_OBS_ENABLED
-
-#include <memory>
-#include <mutex>
-
-#include "obs/export.hpp"
-#include "util/string_util.hpp"
-
-namespace tka::runtime {
 namespace {
 
 std::mutex& lanes_mu() {
@@ -194,14 +190,3 @@ void publish_runtime_metrics() {
 }
 
 }  // namespace tka::runtime
-
-#else  // !TKA_OBS_ENABLED
-
-namespace tka::runtime {
-
-std::vector<LaneCounters> lane_snapshot() { return {}; }
-void publish_runtime_metrics() {}
-
-}  // namespace tka::runtime
-
-#endif  // TKA_OBS_ENABLED

@@ -16,17 +16,13 @@
 // per-case per-thread utilization from these) or the runtime.* gauges that
 // publish_runtime_metrics() derives — gauges, never counters, because
 // BENCH counter deltas must stay bit-identical across thread counts.
-//
-// With TKA_OBS_DISABLED the whole layer compiles out: snapshots are empty
-// and the thread-pool call sites skip their clock reads entirely.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-
 #include <vector>
 
 #include "obs/clock.hpp"
-#include "obs/metrics.hpp"  // defines TKA_OBS_ENABLED
 
 namespace tka::runtime {
 
@@ -55,7 +51,7 @@ struct LaneCounters {
 
 /// Copies every registered lane (registration order, stable indices). An
 /// in-progress phase is folded in up to "now", so a worker parked on the
-/// queue still shows its current idle stretch. Empty when obs is disabled.
+/// queue still shows its current idle stretch.
 std::vector<LaneCounters> lane_snapshot();
 
 /// Per-lane difference of two snapshots (saturating at zero). Lanes that
@@ -66,10 +62,8 @@ std::vector<LaneCounters> lane_delta(const std::vector<LaneCounters>& before,
 /// Publishes lane aggregates and per-lane figures as runtime.* gauges
 /// (runtime.exec_s, runtime.lane.<i>.utilization, ...). Registered as an
 /// obs snapshot collector on first lane registration, so export sinks pick
-/// the numbers up automatically. No-op when obs is disabled.
+/// the numbers up automatically.
 void publish_runtime_metrics();
-
-#if TKA_OBS_ENABLED
 
 namespace telemetry {
 
@@ -185,7 +179,5 @@ void note_task_graph(std::uint64_t tasks, std::uint64_t edges);
 void note_dynamic_for();
 
 }  // namespace telemetry
-
-#endif  // TKA_OBS_ENABLED
 
 }  // namespace tka::runtime

@@ -42,32 +42,24 @@ void ThreadPool::enqueue(std::function<void()> task) {
 
 void ThreadPool::worker_loop() {
   t_on_pool_thread = true;
-#if TKA_OBS_ENABLED
   telemetry::LaneSlot& lane = telemetry::this_lane(/*worker=*/true);
-#endif
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-#if TKA_OBS_ENABLED
       // Queue-idle covers the dequeue bookkeeping too; that is nanoseconds
       // against a cv wait and keeps the scope placement simple.
       telemetry::PhaseScope idle(lane, telemetry::Phase::kQueueIdle);
-#endif
       cv_.wait(lock, [this]() { return stop_ || !queue_.empty(); });
       if (queue_.empty()) break;  // stop_ set and nothing left to drain
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-#if TKA_OBS_ENABLED
     {
       telemetry::PhaseScope exec(lane, telemetry::Phase::kExec);
       lane.tasks.fetch_add(1, std::memory_order_relaxed);
       task();
     }
-#else
-    task();
-#endif
   }
   // Deterministic teardown: return this lane's parked waveform-pool blocks
   // before the thread exits rather than relying on TLS destructor order.

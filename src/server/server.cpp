@@ -7,12 +7,7 @@
 #include <exception>
 #include <utility>
 
-#include "io/bench_reader.hpp"
-#include "io/spef_lite.hpp"
-#include "io/verilog_lite.hpp"
-#include "layout/extractor.hpp"
-#include "layout/placer.hpp"
-#include "layout/router.hpp"
+#include "io/design_loader.hpp"
 #include "obs/metrics.hpp"
 #include "server/frame.hpp"
 #include "util/json.hpp"
@@ -20,14 +15,6 @@
 #include "util/string_util.hpp"
 
 namespace tka::server {
-namespace {
-
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-}  // namespace
 
 Server::Server(ServerOptions opt) : opt_(std::move(opt)) {}
 
@@ -55,18 +42,9 @@ bool Server::load_design(const std::string& name,
                          const std::string& netlist_path,
                          const std::string& spef_path, std::string* error) {
   try {
-    std::unique_ptr<net::Netlist> nl = ends_with(netlist_path, ".v")
-                                           ? io::read_verilog_file(netlist_path)
-                                           : io::read_bench_file(netlist_path);
-    layout::Parasitics par = [&] {
-      if (!spef_path.empty()) return io::read_spef_lite_file(spef_path, *nl);
-      const layout::Placement placement = layout::grid_place(*nl, {});
-      const std::vector<layout::Route> routes =
-          layout::route_all(*nl, placement);
-      return layout::extract(*nl, routes, {});
-    }();
-    return add_design(name, std::move(nl), std::move(par), opt_.default_shard,
-                      opt_.default_topk, error);
+    io::LoadedDesign d = io::load_design(netlist_path, spef_path);
+    return add_design(name, std::move(d.netlist), std::move(d.parasitics),
+                      opt_.default_shard, opt_.default_topk, error);
   } catch (const std::exception& e) {
     if (error != nullptr) *error = e.what();
     return false;

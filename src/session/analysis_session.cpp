@@ -75,11 +75,6 @@ AnalysisSession::AnalysisSession(net::Netlist nl, layout::Parasitics par,
 
 AnalysisSession::~AnalysisSession() = default;
 
-const noise::NoiseReport& AnalysisSession::baseline_report() const {
-  TKA_CHECK(primed_, "baseline_report requires a primed session");
-  return base_.fixpoint->report();
-}
-
 topk::TopkResult AnalysisSession::run(const topk::TopkOptions& options) {
   TKA_CHECK(options.k >= 1, "run: k must be at least 1");
   opt_ = options;
@@ -244,8 +239,7 @@ topk::TopkResult AnalysisSession::query(bool cold,
       .arg("threads", static_cast<std::int64_t>(threads));
 
   // Per-query metric handles, hoisted out of the hot loops. TopkStats
-  // counter fields are populated from registry deltas at the end (and
-  // therefore read 0 when observability is compiled out).
+  // counter fields are populated from registry deltas at the end.
   obs::MetricsRegistry& reg = obs::registry();
   obs::Counter& c_sets = reg.counter("topk.sets_generated");
   obs::Counter& c_dominance = reg.counter("topk.dominance_pruned");
@@ -256,12 +250,10 @@ topk::TopkResult AnalysisSession::query(bool cold,
   obs::Histogram& h_ilist = reg.histogram("topk.ilist_size", 1.0, 65536.0);
   reg.counter(cold ? "topk.runs" : "topk.whatif_runs").add(1);
   const std::uint64_t sets_before = c_sets.value();
-#if TKA_OBS_ENABLED
   // Query-scoped runtime attribution: lane deltas over this query feed the
   // runtime.query.* gauges at the end.
   const std::vector<runtime::LaneCounters> lanes_before =
       runtime::lane_snapshot();
-#endif
 
   topk::TopkResult result;
   result.mode = opt.mode;
@@ -302,8 +294,7 @@ topk::TopkResult AnalysisSession::query(bool cold,
     }
   }
 
-  result.all_aggressor_report = base_.fixpoint->report();
-  const noise::NoiseReport& all_rep = result.all_aggressor_report;
+  const noise::NoiseReport& all_rep = base_.fixpoint->report();
   if (addition) {
     result.baseline_delay = all_rep.noiseless_delay;
     result.reference_delay = all_rep.noisy_delay;
@@ -535,7 +526,7 @@ topk::TopkResult AnalysisSession::query(bool cold,
   }
 
   // Publish the per-query prune tallies and fill the counter-derived stats
-  // fields from the registry (zero when observability is compiled out).
+  // fields from the registry.
   c_dominance.add(result.stats.prune.removed_dominated);
   c_beam.add(result.stats.prune.removed_beam);
   result.stats.sets_generated = c_sets.value() - sets_before;
@@ -551,7 +542,6 @@ topk::TopkResult AnalysisSession::query(bool cold,
   wave::pool::trim_all(kPoolKeepBytesPerThread);
   wave::pool::publish_gauges();
 
-#if TKA_OBS_ENABLED
   // Memory accounting: walk the memoized state once per query that swept
   // and publish the approximate footprints (mem.candidate_tables_bytes for
   // the live I-list layers, mem.whatif_memo_bytes for the replay snapshots
@@ -604,7 +594,6 @@ topk::TopkResult AnalysisSession::query(bool cold,
         .set(obs::ns_to_seconds(static_cast<std::int64_t>(barrier)));
     reg.gauge("runtime.query.wall_s").set(result.stats.runtime_s);
   }
-#endif
 
   log::info() << "topk: done in " << result.stats.runtime_s << " s, "
               << result.stats.sets_generated << " sets generated, "

@@ -80,8 +80,6 @@ class AnalysisSession {
   const layout::Parasitics& parasitics() const { return par_; }
   /// The last run()'s options, worker counts resolved.
   const topk::TopkOptions& options() const { return opt_; }
-  /// The mask=all fixpoint report of the current design state.
-  const noise::NoiseReport& baseline_report() const;
 
  private:
   /// Answers at cardinality k. A cold query primes the baseline and sweeps

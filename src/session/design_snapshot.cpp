@@ -163,7 +163,6 @@ DesignSnapshot::Stats DesignSnapshot::stats() {
 }
 
 void DesignSnapshot::publish_gauges() {
-#if TKA_OBS_ENABLED
   const Stats s = stats();
   obs::MetricsRegistry& reg = obs::registry();
   reg.gauge("server.snapshots_live").set(static_cast<double>(s.live));
@@ -173,7 +172,6 @@ void DesignSnapshot::publish_gauges() {
       .set(static_cast<double>(s.resident_bytes));
   reg.gauge("server.snapshot_bytes_shared")
       .set(static_cast<double>(s.shared_bytes()));
-#endif
 }
 
 }  // namespace tka::session

@@ -80,11 +80,9 @@ struct TopkOptions {
 ///
 /// All times are wall-clock **seconds** measured on the obs monotonic clock
 /// (obs/clock.hpp) — the same source the tracer stamps spans with, so these
-/// numbers line up with `--trace` / `--metrics` output. Counter-derived
-/// fields (`sets_generated`) are populated from the obs metrics registry at
-/// the end of a run and read 0 when the library is built with
-/// TKA_OBS_DISABLED; the timing fields and `max_list_size`/`prune` are
-/// always populated.
+/// numbers line up with `--trace` / `--metrics` output. `sets_generated`
+/// is the run's delta of the `topk.sets_generated` registry counter; the
+/// other fields are tallied by the run itself.
 struct TopkStats {
   int threads = 1;            ///< resolved worker count the run used
   size_t sets_generated = 0;  ///< candidate sets scored (registry-backed)
@@ -120,7 +118,6 @@ struct TopkResult {
   /// ranks conservatively, especially in elimination mode.
   std::vector<std::vector<std::vector<layout::CapId>>> finalists_by_k;
 
-  noise::NoiseReport all_aggressor_report;  ///< the mask=all fixpoint
   TopkStats stats;
 };
 

@@ -228,7 +228,6 @@ void set_thread_cache_budget(std::size_t bytes) noexcept {
 }
 
 void publish_gauges() {
-#if TKA_OBS_ENABLED
   // Function-local so the handles exist only once obs is actually asked
   // for; TrackedBytes removes its contribution at static teardown.
   static obs::TrackedBytes tracked_total("mem.wave_pool_bytes");
@@ -236,7 +235,6 @@ void publish_gauges() {
   const Stats s = stats();
   tracked_total.set(static_cast<std::int64_t>(s.live_bytes + s.cached_bytes));
   tracked_cached.set(static_cast<std::int64_t>(s.cached_bytes));
-#endif
 }
 
 }  // namespace pool

@@ -79,8 +79,7 @@ void set_thread_cache_budget(std::size_t bytes) noexcept;
 /// mem.wave_pool_bytes (live + cached, the arena-occupancy gauge) and
 /// mem.wave_pool_cached_bytes (free-list bytes only). After every waveform
 /// is destroyed and trim_all(0) has been honored by every thread, both
-/// return to zero — the balance invariant tests assert. No-op when
-/// observability is compiled out.
+/// return to zero — the balance invariant tests assert.
 void publish_gauges();
 
 }  // namespace pool

@@ -109,8 +109,7 @@ TEST(BenchJsonSchema, WriterOutputParsesAndMatchesSchema) {
   EXPECT_EQ(doc.find("suite")->string, "unit_suite");
   const json::Value* config = doc.find("config");
   ASSERT_NE(config, nullptr);
-  for (const char* key : {"smoke", "scale", "reps", "warmup", "threads",
-                          "obs_enabled"}) {
+  for (const char* key : {"smoke", "scale", "reps", "warmup", "threads"}) {
     EXPECT_NE(config->find(key), nullptr) << "config missing " << key;
   }
   EXPECT_TRUE(config->find("smoke")->boolean);
@@ -151,12 +150,8 @@ TEST(MetricsSnapshot, CapturesCounterDeltas) {
   c.add(7);
   const obs::MetricsSnapshot after = obs::registry().snapshot();
   const obs::MetricsSnapshot delta = obs::counters_delta(before, after);
-#if TKA_OBS_ENABLED
   ASSERT_TRUE(delta.counters.count("test.bench_harness.counter"));
   EXPECT_EQ(delta.counters.at("test.bench_harness.counter"), 7u);
-#else
-  EXPECT_TRUE(delta.counters.empty());
-#endif
 }
 
 // -------------------------------------------------------- bench_compare --
@@ -266,7 +261,7 @@ TEST(BenchCompare, SchemaAndSuiteMismatchAreErrors) {
       compare_bench_documents(base, full_doc, CompareOptions{}).usable());
 }
 
-TEST(BenchCompare, ObsDisabledCandidateSkipsCounters) {
+TEST(BenchCompare, CandidateWithoutCountersIsCounterRegression) {
   const json::Value base = make_doc(1.0, 2.25, 1000);
   CaseResult r;
   r.name = "i1";
@@ -277,9 +272,24 @@ TEST(BenchCompare, ObsDisabledCandidateSkipsCounters) {
   const CompareResult res =
       compare_bench_documents(base, no_counters, CompareOptions{});
   ASSERT_TRUE(res.usable());
-  EXPECT_TRUE(res.ok());
-  ASSERT_EQ(res.notes.size(), 1u);
-  EXPECT_NE(res.notes[0].find("no counters"), std::string::npos);
+  EXPECT_FALSE(res.ok());
+  ASSERT_EQ(res.regressions.size(), 1u);
+  EXPECT_NE(res.regressions[0].find("no counters"), std::string::npos);
+
+  // The failure belongs to the counter class: skipping it passes.
+  CompareOptions skip_counters;
+  skip_counters.counter_threshold = -1.0;
+  EXPECT_TRUE(compare_bench_documents(base, no_counters, skip_counters).ok());
+
+  // A candidate that lacks only some counters did less work and passes.
+  r.counters = {{"topk.sets_generated", 1000}, {"pwl.merge_points", 500}};
+  const json::Value two_counters =
+      parse_doc(render_bench_json(test_config(), {r}));
+  r.counters.erase("pwl.merge_points");
+  const json::Value one_counter =
+      parse_doc(render_bench_json(test_config(), {r}));
+  EXPECT_TRUE(
+      compare_bench_documents(two_counters, one_counter, CompareOptions{}).ok());
 }
 
 }  // namespace

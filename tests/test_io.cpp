@@ -1,11 +1,19 @@
-// Tests for the .bench reader, SPEF-lite round-trip and DOT export.
+// Tests for the .bench reader, SPEF-lite round-trip, DOT export and the
+// shared design loader.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "io/bench_reader.hpp"
+#include "io/design_loader.hpp"
 #include "io/dot_writer.hpp"
 #include "io/spef_lite.hpp"
+#include "io/verilog_lite.hpp"
+#include "layout/extractor.hpp"
+#include "layout/placer.hpp"
+#include "layout/router.hpp"
 #include "net/builder.hpp"
 #include "net/topo.hpp"
 #include "util/error.hpp"
@@ -183,6 +191,41 @@ TEST(DotWriter, EmitsGatesNetsAndCouplings) {
   EXPECT_NE(dot.find("style=dashed"), std::string::npos);
   EXPECT_NE(dot.find("color=red"), std::string::npos);
   EXPECT_EQ(dot.find("color=red", dot.find("color=red") + 1), std::string::npos);
+}
+
+TEST(DesignLoader, PicksReaderBySuffixAndParasiticsBySpef) {
+  const std::string bench = "test_io_loader.bench";
+  const std::string verilog = "test_io_loader.v";
+  const std::string spef = "test_io_loader.spef";
+  std::ofstream(bench) << kC17Bench;
+  const std::unique_ptr<net::Netlist> c17 = read_bench_string(kC17Bench);
+  write_verilog_file(verilog, *c17);
+
+  // No SPEF: the default placement, routing and extraction.
+  const LoadedDesign from_bench = load_design(bench, "");
+  EXPECT_EQ(from_bench.netlist->num_gates(), c17->num_gates());
+  const std::vector<layout::Route> routes =
+      layout::route_all(*c17, layout::grid_place(*c17, {}));
+  const layout::Parasitics extracted = layout::extract(*c17, routes, {});
+  ASSERT_GT(extracted.num_couplings(), 0u);
+  ASSERT_EQ(from_bench.parasitics.num_couplings(), extracted.num_couplings());
+  for (layout::CapId c = 0; c < extracted.num_couplings(); ++c) {
+    EXPECT_EQ(from_bench.parasitics.coupling(c).cap_pf,
+              extracted.coupling(c).cap_pf);
+  }
+
+  // A `.v` path reads Verilog; a SPEF path replaces the extraction.
+  layout::Parasitics par(c17->num_nets());
+  par.add_coupling(0, 3, 0.0077);
+  write_spef_lite_file(spef, *c17, par);
+  const LoadedDesign from_verilog = load_design(verilog, spef);
+  EXPECT_EQ(from_verilog.netlist->num_gates(), c17->num_gates());
+  ASSERT_EQ(from_verilog.parasitics.num_couplings(), 1u);
+  EXPECT_NEAR(from_verilog.parasitics.coupling(0).cap_pf, 0.0077, 1e-12);
+
+  std::remove(bench.c_str());
+  std::remove(verilog.c_str());
+  std::remove(spef.c_str());
 }
 
 }  // namespace

@@ -244,8 +244,8 @@ TEST(EnvelopeTable, ConcurrentRequestsBuildEachSideOnce) {
   ASSERT_GT(sides.size(), 100u);
   obs::Counter& hits = obs::registry().counter("noise.envelope_cache_hits");
   obs::Counter& misses = obs::registry().counter("noise.envelope_cache_misses");
-  [[maybe_unused]] const std::uint64_t hits_before = hits.value();
-  [[maybe_unused]] const std::uint64_t misses_before = misses.value();
+  const std::uint64_t hits_before = hits.value();
+  const std::uint64_t misses_before = misses.value();
 
   // Every thread requests every side, each in its own shuffled order, so
   // first requests of a side race across threads.
@@ -265,10 +265,8 @@ TEST(EnvelopeTable, ConcurrentRequestsBuildEachSideOnce) {
   }
   for (std::thread& w : workers) w.join();
 
-#ifndef TKA_OBS_DISABLED
   EXPECT_EQ(misses.value() - misses_before, sides.size());
   EXPECT_EQ(hits.value() - hits_before, (kThreads - 1) * sides.size());
-#endif
   for (std::size_t i = 0; i < sides.size(); ++i) {
     for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t][i], seen[0][i]) << i;
     const wave::Pwl fresh =
@@ -288,7 +286,7 @@ TEST(EnvelopeTable, InvalidationRebuildsSamePointsAndReleasesBytes) {
     EnvelopeBuilder builder(*g.ckt.netlist, par, g.calc, g.sta.windows);
     std::vector<wave::Pwl> first;
     for (const auto& [v, cap] : sides) first.push_back(builder.envelope(v, cap));
-    [[maybe_unused]] const std::int64_t full_bytes =
+    const std::int64_t full_bytes =
         obs::TrackedBytes::total("mem.envelope_cache_bytes");
 
     // Drop every side of one net, plus one coupling that does not touch it.
@@ -297,22 +295,19 @@ TEST(EnvelopeTable, InvalidationRebuildsSamePointsAndReleasesBytes) {
     while (par.coupling(far).net_a == net || par.coupling(far).net_b == net) {
       ++far;
     }
-    [[maybe_unused]] const std::uint64_t inval_before = invalidated.value();
+    const std::uint64_t inval_before = invalidated.value();
     builder.invalidate_net(net);
     builder.invalidate_cap(far);
-    [[maybe_unused]] const std::uint64_t dropped =
-        2 * par.couplings_of(net).size() + 2;
-    [[maybe_unused]] const std::uint64_t misses_before = misses.value();
+    const std::uint64_t dropped = 2 * par.couplings_of(net).size() + 2;
+    const std::uint64_t misses_before = misses.value();
     for (std::size_t i = 0; i < sides.size(); ++i) {
       const wave::Pwl& again = builder.envelope(sides[i].first, sides[i].second);
       EXPECT_TRUE(same_bits(again, first[i])) << i;
     }
-#ifndef TKA_OBS_DISABLED
     EXPECT_EQ(invalidated.value() - inval_before, dropped);
     EXPECT_EQ(misses.value() - misses_before, dropped);
     EXPECT_GT(full_bytes, 0);
     EXPECT_EQ(obs::TrackedBytes::total("mem.envelope_cache_bytes"), full_bytes);
-#endif
   }
   EXPECT_EQ(obs::TrackedBytes::total("mem.envelope_cache_bytes"), 0);
 }
@@ -522,18 +517,18 @@ TEST(IncrementalFixpointTest, CountersSplitColdFromReplay) {
   opt.threads = 1;
   const CouplingMask all = CouplingMask::all(ckt.parasitics.num_couplings());
 
-  // Counter deltas over one call; empty when observability is compiled out.
+  // Counter deltas over one call.
   obs::MetricsSnapshot delta;
   const auto count = [&delta](const auto& call) {
     const obs::MetricsSnapshot before = obs::registry().snapshot();
     call();
     delta = obs::counters_delta(before, obs::registry().snapshot());
   };
-  [[maybe_unused]] const auto ticks = [&delta](const char* name) {
+  const auto ticks = [&delta](const char* name) {
     const auto it = delta.counters.find(name);
     return it == delta.counters.end() ? std::uint64_t{0} : it->second;
   };
-  [[maybe_unused]] const auto expect_cold = [&](int iterations) {
+  const auto expect_cold = [&](int iterations) {
     const auto iters = static_cast<std::uint64_t>(iterations);
     EXPECT_EQ(ticks("noise.fixpoint_runs"), 1u);
     EXPECT_EQ(ticks("noise.fixpoint_iterations"), iters);
@@ -560,22 +555,17 @@ TEST(IncrementalFixpointTest, CountersSplitColdFromReplay) {
   });
   ASSERT_TRUE(cold.converged);
   ASSERT_GT(cold.iterations, 1);
-#ifndef TKA_OBS_DISABLED
   expect_cold(cold.iterations);
-#endif
 
   IncrementalFixpoint fp(*ckt.netlist, ckt.parasitics, model, calc, opt);
   count([&] { fp.recompute(all); });
   expect_same(fp.report(), cold);
-#ifndef TKA_OBS_DISABLED
   expect_cold(cold.iterations);
-#endif
 
   count([&] { fp.refresh({}, {}, all); });
   expect_same(fp.report(), cold);
   EXPECT_TRUE(fp.changed_noiseless().empty());
   EXPECT_TRUE(fp.changed_noisy().empty());
-#ifndef TKA_OBS_DISABLED
   EXPECT_EQ(ticks("noise.fixpoint_refreshes"), 1u);
   EXPECT_EQ(ticks("noise.fixpoint_refresh_iterations"),
             static_cast<std::uint64_t>(cold.iterations));
@@ -583,7 +573,6 @@ TEST(IncrementalFixpointTest, CountersSplitColdFromReplay) {
   EXPECT_EQ(ticks("sta.runs"), 0u);
   EXPECT_EQ(ticks("noise.fixpoint_runs"), 0u);
   EXPECT_EQ(ticks("noise.fixpoint_iterations"), 0u);
-#endif
 }
 
 // The false-aggressor rule on one side of `fx`, under its noiseless

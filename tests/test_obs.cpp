@@ -1,7 +1,6 @@
 // Tests for the observability layer: metric semantics, span nesting, trace
 // JSON well-formedness (validated with a real round-trip parse) and the
-// engine's metric population. With TKA_OBS_DISABLED the same file instead
-// proves every hook is a no-op.
+// engine's metric population.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -197,8 +196,6 @@ class ObsTest : public ::testing::Test {
     registry().reset();
   }
 };
-
-#if TKA_OBS_ENABLED
 
 TEST_F(ObsTest, CounterAddsAndResets) {
   Counter& c = registry().counter("test.counter");
@@ -408,56 +405,6 @@ TEST_F(ObsTest, RegisterCoreMetricsCreatesCatalog) {
   EXPECT_EQ(doc.at("histograms").at("transient.solve_seconds").at("count").number,
             0.0);
 }
-
-#else  // !TKA_OBS_ENABLED — prove the compile-out path is a true no-op.
-
-TEST_F(ObsTest, DisabledHooksAreNoOps) {
-  Counter& c = registry().counter("test.counter");
-  c.add(5);
-  EXPECT_EQ(c.value(), 0u);
-  registry().gauge("test.gauge").set(3.0);
-  EXPECT_EQ(registry().gauge("test.gauge").value(), 0.0);
-  registry().histogram("test.hist").observe(1.0);
-  EXPECT_EQ(registry().histogram("test.hist").count(), 0u);
-
-  tracer().enable(true);
-  {
-    ScopedSpan span("ignored");
-    EXPECT_FALSE(span.recording());
-    span.arg("k", static_cast<std::int64_t>(1));
-  }
-  EXPECT_EQ(tracer().num_events(), 0u);
-  EXPECT_FALSE(tracer().enabled());
-}
-
-TEST_F(ObsTest, DisabledEmittersStayValidJson) {
-  std::ostringstream trace_os;
-  tracer().write_chrome_json(trace_os);
-  const Json trace = parse_or_fail(trace_os.str());
-  EXPECT_TRUE(trace.at("traceEvents").array.empty());
-
-  std::ostringstream metrics_os;
-  write_metrics_json(metrics_os);
-  const Json metrics = parse_or_fail(metrics_os.str());
-  EXPECT_TRUE(metrics.at("counters").object.empty());
-  EXPECT_TRUE(metrics.at("spans").array.empty());
-}
-
-TEST_F(ObsTest, DisabledEngineStillTimes) {
-  test::Fixture fx = test::make_parallel_chains(2, 2);
-  test::couple(fx, "c0_n1", "c1_n1", 0.008);
-  session::AnalysisSession session(*fx.netlist, fx.parasitics, {});
-  topk::TopkOptions opt;
-  opt.k = 2;
-  opt.iterative.sta = fx.sta_options();
-  const topk::TopkResult res = session.run(opt);
-  // Counter-derived fields read 0, but timing (obs clock) still works.
-  EXPECT_EQ(res.stats.sets_generated, 0u);
-  EXPECT_GT(res.stats.runtime_s, 0.0);
-  EXPECT_EQ(res.stats.runtime_by_k.size(), 2u);
-}
-
-#endif  // TKA_OBS_ENABLED
 
 }  // namespace
 }  // namespace tka::obs

@@ -101,13 +101,11 @@ TEST(ParallelEquivalence, EngineBitIdenticalAcrossThreadCounts) {
       const topk::TopkResult par =
           run_counted(pl, engine_options(pl, mode, threads), &counts);
       EXPECT_EQ(par.stats.threads, threads);
-#ifndef TKA_OBS_DISABLED
       // Each coupling side is built at most once, so the envelope table's
       // hit and miss counts do not depend on the schedule either.
       EXPECT_GT(counts.misses, 0u);
       EXPECT_EQ(counts.hits, serial_counts.hits) << threads;
       EXPECT_EQ(counts.misses, serial_counts.misses) << threads;
-#endif
       // The chosen set, every per-cardinality winner and every delay are
       // bitwise equal — no tolerance.
       EXPECT_EQ(par.members, serial.members) << threads;

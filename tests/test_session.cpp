@@ -178,16 +178,13 @@ gen::GeneratorParams generated_params() {
   return params;
 }
 
-// Deterministic work a warm query must repeat exactly at every thread count
-// (none to read when observability is compiled out).
+// Deterministic work a warm query must repeat exactly at every thread count.
 std::vector<std::uint64_t> warm_work_counters() {
   std::vector<std::uint64_t> values;
-#ifndef TKA_OBS_DISABLED
   for (const char* name :
        {"topk.sets_generated", "topk.surviving_sets", "pwl.merge_points"}) {
     values.push_back(obs::registry().counter(name).value());
   }
-#endif
   return values;
 }
 
@@ -509,7 +506,6 @@ TEST(BaselineStage, RefreshMatchesPrimeOnEditedDesign) {
   }
 }
 
-#ifndef TKA_OBS_DISABLED
 TEST(Session, WhatIfReusesEnvelopeCacheOutsideEditCone) {
   Fixture fx = repair_fixture();
   const topk::TopkOptions opt = options(fx, 2, topk::Mode::kElimination, 1);
@@ -538,7 +534,6 @@ TEST(Session, WhatIfReusesEnvelopeCacheOutsideEditCone) {
   EXPECT_GT(obs::registry().counter("topk.whatif_runs").value(), 0u);
   EXPECT_GT(obs::registry().counter("session.whatif_edits").value(), 0u);
 }
-#endif
 
 TEST(Session, WhatIfPreconditionsAreChecked) {
   Fixture fx = repair_fixture();

@@ -292,9 +292,7 @@ TEST(DesignSnapshot, TrackedBytesBalanceReturnsToZeroOnTeardown) {
     auto head = DesignSnapshot::make_base(net::Netlist(*fx.netlist),
                                           layout::Parasitics(fx.parasitics),
                                           sta::DelayModelOptions{});
-#if TKA_OBS_ENABLED
     EXPECT_GT(obs::TrackedBytes::total("mem.snapshot_bytes"), before);
-#endif
     for (int e = 0; e < 8; ++e) {
       WhatIfEdit edit;
       edit.shield_couplings = {static_cast<layout::CapId>(e % 4)};

@@ -153,7 +153,6 @@ TEST(PoolAccounting, ZeroBalanceAfterTrim) {
   EXPECT_EQ(after.live_bytes, before.live_bytes);
   EXPECT_EQ(pool::thread_cached_bytes(), 0u);
 
-#if TKA_OBS_ENABLED
   // The published gauges must mirror the balanced accounting.
   pool::publish_gauges();
   const double pool_gauge =
@@ -162,7 +161,6 @@ TEST(PoolAccounting, ZeroBalanceAfterTrim) {
       obs::registry().gauge("mem.wave_pool_cached_bytes").value();
   EXPECT_EQ(cached_gauge, 0.0);
   EXPECT_EQ(pool_gauge, static_cast<double>(after.live_bytes));
-#endif
 }
 
 // Released blocks park on the free list (cached bytes) and are reused by

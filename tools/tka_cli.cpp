@@ -36,14 +36,10 @@
 #include <string>
 #include <vector>
 
-#include "io/bench_reader.hpp"
+#include "io/design_loader.hpp"
 #include "io/dot_writer.hpp"
 #include "io/report_writer.hpp"
-#include "io/spef_lite.hpp"
 #include "io/verilog_lite.hpp"
-#include "layout/extractor.hpp"
-#include "layout/placer.hpp"
-#include "layout/router.hpp"
 #include "noise/coupling_calc.hpp"
 #include "noise/envelope_builder.hpp"
 #include "noise/glitch.hpp"
@@ -177,26 +173,8 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-std::unique_ptr<net::Netlist> load_netlist(const std::string& path) {
-  if (ends_with(path, ".v")) return io::read_verilog_file(path);
-  return io::read_bench_file(path);
-}
-
-layout::Parasitics load_or_extract(const Args& args, const net::Netlist& nl) {
-  if (!args.spef_path.empty()) return io::read_spef_lite_file(args.spef_path, nl);
-  const layout::Placement placement = layout::grid_place(nl, {});
-  const std::vector<layout::Route> routes = layout::route_all(nl, placement);
-  return layout::extract(nl, routes, {});
-}
-
 int cmd_analyze(const Args& args) {
-  auto nl = load_netlist(args.netlist_path);
-  const layout::Parasitics par = load_or_extract(args, *nl);
+  const auto [nl, par] = io::load_design(args.netlist_path, args.spef_path);
   sta::DelayModel model(*nl, par);
   noise::AnalyticCouplingCalculator calc(par, model);
   noise::IterativeOptions iter_opt;
@@ -229,8 +207,7 @@ int cmd_analyze(const Args& args) {
 }
 
 int cmd_topk(const Args& args) {
-  auto nl = load_netlist(args.netlist_path);
-  const layout::Parasitics par = load_or_extract(args, *nl);
+  const auto [nl, par] = io::load_design(args.netlist_path, args.spef_path);
   session::AnalysisSession session(*nl, par, sta::DelayModelOptions{});
   topk::TopkOptions opt;
   opt.k = args.k;
@@ -252,7 +229,7 @@ int cmd_topk(const Args& args) {
   if (!args.out_path.empty()) {
     std::ofstream out(args.out_path);
     TKA_CHECK(static_cast<bool>(out), "topk: cannot open --out file");
-    if (ends_with(args.out_path, ".csv")) {
+    if (args.out_path.ends_with(".csv")) {
       io::write_topk_trail_csv(out, res);
     } else {
       io::write_topk_result_json(out, *nl, par, res, args.k);
@@ -267,8 +244,7 @@ int cmd_topk(const Args& args) {
 // times. The priming run is the only cold analysis; every subsequent query
 // reuses the session's baseline fixpoints and memoized candidate lists.
 int cmd_whatif(const Args& args) {
-  auto nl = load_netlist(args.netlist_path);
-  layout::Parasitics par = load_or_extract(args, *nl);
+  auto [nl, par] = io::load_design(args.netlist_path, args.spef_path);
   session::AnalysisSession session(
       *nl, std::move(par), sta::DelayModelOptions{},
       session::SessionOptions{.retain_candidates = true});
@@ -309,8 +285,7 @@ int cmd_whatif(const Args& args) {
 }
 
 int cmd_glitch(const Args& args) {
-  auto nl = load_netlist(args.netlist_path);
-  const layout::Parasitics par = load_or_extract(args, *nl);
+  const auto [nl, par] = io::load_design(args.netlist_path, args.spef_path);
   sta::DelayModel model(*nl, par);
   noise::AnalyticCouplingCalculator calc(par, model);
   const sta::StaResult sta_res = sta::run_sta(*nl, model);
@@ -331,8 +306,7 @@ int cmd_glitch(const Args& args) {
 }
 
 int cmd_paths(const Args& args) {
-  auto nl = load_netlist(args.netlist_path);
-  const layout::Parasitics par = load_or_extract(args, *nl);
+  const auto [nl, par] = io::load_design(args.netlist_path, args.spef_path);
   sta::DelayModel model(*nl, par);
   const sta::StaResult sta_res = sta::run_sta(*nl, model);
   const auto paths =
@@ -347,10 +321,10 @@ int cmd_paths(const Args& args) {
 
 int cmd_convert(const Args& args) {
   TKA_CHECK(!args.out_path.empty(), "convert: --out required");
-  auto nl = load_netlist(args.netlist_path);
-  if (ends_with(args.out_path, ".v")) {
+  auto nl = io::read_netlist_file(args.netlist_path);
+  if (args.out_path.ends_with(".v")) {
     io::write_verilog_file(args.out_path, *nl);
-  } else if (ends_with(args.out_path, ".dot")) {
+  } else if (args.out_path.ends_with(".dot")) {
     std::ofstream out(args.out_path);
     TKA_CHECK(static_cast<bool>(out), "convert: cannot open output");
     io::write_dot(out, *nl);
