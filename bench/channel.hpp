@@ -16,6 +16,7 @@
 #include "net/netlist.hpp"
 #include "sta/analyzer.hpp"
 #include "topk/topk_engine.hpp"
+#include "util/string_util.hpp"
 
 namespace tka::bench {
 
@@ -50,7 +51,7 @@ inline Channel make_channel(int groups, int chains, int depth) {
   for (int g = 0; g < groups; ++g) {
     nets[g].resize(chains);
     for (int c = 0; c < chains; ++c) {
-      const std::string stem = "g" + std::to_string(g) + "c" + std::to_string(c);
+      const std::string stem = str::format("g%dc%d", g, c);
       net::NetId cur = ch.netlist->add_primary_input(stem + "_in");
       for (int i = 0; i < depth; ++i) {
         cur = ch.netlist->add_gate(buf, {cur}, stem + "_g" + std::to_string(i),
@@ -79,8 +80,7 @@ inline Channel make_channel(int groups, int chains, int depth) {
   for (int g = 0; g < groups; ++g) {
     for (int c = 0; c < chains; ++c) {
       const net::NetId pi =
-          ch.netlist->net_by_name("g" + std::to_string(g) + "c" +
-                                  std::to_string(c) + "_in");
+          ch.netlist->net_by_name(str::format("g%dc%d_in", g, c));
       const double lat = 0.02 * ((g * 5 + c * 3) % 7);
       ch.arrivals[pi] = {lat, lat};
     }

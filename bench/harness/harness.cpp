@@ -14,7 +14,6 @@
 #include "util/logging.hpp"
 #include "util/string_util.hpp"
 #include "util/timer.hpp"
-#include "wave/point_store.hpp"
 
 namespace tka::bench {
 namespace {
@@ -272,10 +271,6 @@ bool Harness::run_case(const std::string& name,
   // Plain /proc reads; VmHWM is the kernel-maintained process peak.
   result.rss_bytes = obs::current_rss_bytes();
   result.peak_rss_bytes = obs::peak_rss_bytes();
-  {
-    const wave::pool::Stats pstats = wave::pool::stats();
-    result.wave_pool_bytes = pstats.live_bytes + pstats.cached_bytes;
-  }
   result.time = summarize_samples(std::move(samples));
   result.values = std::move(reporter.values_);
   result.telemetry = std::move(reporter.telemetry_);
@@ -327,8 +322,7 @@ std::string render_bench_json(const HarnessConfig& config,
       first = false;
     }
     out << "},\n      \"memory\": {\"peak_rss_bytes\": " << r.peak_rss_bytes
-        << ", \"rss_bytes\": " << r.rss_bytes
-        << ", \"wave_pool_bytes\": " << r.wave_pool_bytes << "},\n";
+        << ", \"rss_bytes\": " << r.rss_bytes << "},\n";
     out << "      \"lanes\": [";
     first = true;
     for (const LaneUsage& l : r.lanes) {

@@ -133,9 +133,6 @@ struct CaseResult {
   std::map<std::string, std::uint64_t> counters;
   std::uint64_t peak_rss_bytes = 0;  ///< process VmHWM after the case
   std::uint64_t rss_bytes = 0;       ///< process VmRSS after the case
-  /// wave point-pool occupancy (live + free-list bytes) after the case;
-  /// additive field, absent from pre-pool BENCH files.
-  std::uint64_t wave_pool_bytes = 0;
   std::vector<LaneUsage> lanes;
 };
 

@@ -258,8 +258,8 @@ int main(int argc, char** argv) {
   // Allocation churn across the small-buffer spill boundary: build and
   // drop waveforms of 4..64 points, the construct/destroy pattern the
   // candidate stage runs per generated set. Times the storage layer —
-  // inline buffer, pool hit path, block recycling — rather than the
-  // merge arithmetic.
+  // inline buffer, heap spill and release — rather than the merge
+  // arithmetic.
   h.run_case("pwl_alloc_churn", [](bench::Reporter& r) {
     Rng rng(10);
     std::vector<wave::Point> pts;

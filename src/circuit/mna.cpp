@@ -1,13 +1,12 @@
 #include "circuit/mna.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
+#include "util/string_util.hpp"
 
 namespace tka::circuit {
 
 NodeId LinearCircuit::add_node(std::string name) {
-  names_.push_back(name.empty() ? "n" + std::to_string(names_.size() + 1)
+  names_.push_back(name.empty() ? str::format("n%zu", names_.size() + 1)
                                 : std::move(name));
   return static_cast<NodeId>(names_.size());
 }
@@ -81,16 +80,6 @@ std::vector<double> LinearCircuit::build_rhs(double t) const {
     b[node_count() + s] = sources_[s].waveform.value(t);
   }
   return b;
-}
-
-std::vector<double> LinearCircuit::source_breakpoints() const {
-  std::vector<double> times;
-  for (const Source& s : sources_) {
-    for (const wave::Point& p : s.waveform.points()) times.push_back(p.t);
-  }
-  std::sort(times.begin(), times.end());
-  times.erase(std::unique(times.begin(), times.end()), times.end());
-  return times;
 }
 
 }  // namespace tka::circuit

@@ -53,9 +53,6 @@ class LinearCircuit {
   /// Right-hand side b(t) at time t.
   std::vector<double> build_rhs(double t) const;
 
-  /// All waveform breakpoint times of the sources (for step-size sanity).
-  std::vector<double> source_breakpoints() const;
-
  private:
   struct TwoTerminal {
     NodeId a = 0;

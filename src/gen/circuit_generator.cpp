@@ -7,6 +7,7 @@
 #include "runtime/runtime.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
+#include "util/string_util.hpp"
 
 namespace tka::gen {
 
@@ -84,7 +85,7 @@ GeneratedCircuit generate_circuit(const GeneratorParams& p) {
       if (static_cast<int>(fanins.size()) < nin) continue;  // degenerate; skip
 
       const net::NetId outn =
-          nl.add_gate(cell, fanins, "g" + std::to_string(gate_counter++));
+          nl.add_gate(cell, fanins, str::format("g%d", gate_counter++));
       available.push_back(outn);
     }
     level_start = prev_size;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <ostream>
 
+#include "util/string_util.hpp"
+
 namespace tka::io {
 
 void write_dot(std::ostream& out, const net::Netlist& nl,
@@ -43,9 +45,9 @@ void write_dot(std::ostream& out, const net::Netlist& nl,
       const net::Net& net = nl.net(n);
       std::string id;
       if (net.driver != net::kInvalidGate) {
-        id = "g" + std::to_string(net.driver);
+        id = str::format("g%u", net.driver);
       } else {
-        id = "n" + std::to_string(n);
+        id = str::format("n%u", n);
       }
       return id;
     };

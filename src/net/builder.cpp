@@ -1,6 +1,7 @@
 #include "net/builder.hpp"
 
 #include "util/assert.hpp"
+#include "util/string_util.hpp"
 
 namespace tka::net {
 
@@ -13,8 +14,8 @@ std::unique_ptr<Netlist> make_chain(int length, const std::string& name) {
   NetId cur = nl->add_primary_input("in");
   for (int i = 0; i < length; ++i) {
     const size_t cell = (i % 2 == 0) ? inv : buf;
-    cur = nl->add_gate(cell, {cur}, "u" + std::to_string(i),
-                       "n" + std::to_string(i));
+    cur = nl->add_gate(cell, {cur}, str::format("u%d", i),
+                       str::format("n%d", i));
   }
   nl->mark_primary_output(cur);
   return nl;
@@ -35,7 +36,7 @@ std::unique_ptr<Netlist> make_nand_tree(int depth, const std::string& name) {
     std::vector<NetId> next;
     for (size_t i = 0; i + 1 < level.size(); i += 2) {
       next.push_back(nl->add_gate(nand2, {level[i], level[i + 1]},
-                                  "t" + std::to_string(gate_counter++)));
+                                  str::format("t%d", gate_counter++)));
     }
     level = std::move(next);
   }

@@ -4,6 +4,7 @@
 
 #include "net/topo.hpp"
 #include "util/error.hpp"
+#include "util/string_util.hpp"
 
 namespace tka::net {
 
@@ -26,7 +27,7 @@ NetId Netlist::add_gate(size_t cell_index, const std::vector<NetId>& inputs,
 
   const GateId gid = static_cast<GateId>(gates_.size());
   Gate g;
-  g.name = gate_name.empty() ? "g" + std::to_string(gid) : gate_name;
+  g.name = gate_name.empty() ? str::format("g%u", gid) : gate_name;
   g.cell_index = cell_index;
   g.inputs = inputs;
 

@@ -211,21 +211,6 @@ std::vector<SpanSummary> Tracer::summarize() const {
   return rows;  // std::map iteration: already path-sorted
 }
 
-void Tracer::write_summary(std::ostream& out) const {
-  const std::vector<SpanSummary> rows = summarize();
-  out << str::format("%-48s %8s %12s %12s\n", "span", "count", "total", "self");
-  for (const SpanSummary& row : rows) {
-    const std::size_t cut = row.path.rfind('/');
-    const std::string leaf =
-        cut == std::string::npos ? row.path : row.path.substr(cut + 1);
-    std::string label(2 * row.depth, ' ');
-    label += leaf;
-    out << str::format("%-48s %8llu %10.6f s %10.6f s\n", label.c_str(),
-                       static_cast<unsigned long long>(row.count), row.total_s,
-                       row.self_s);
-  }
-}
-
 ScopedSpan::ScopedSpan(std::string_view name) {
   start_ns_ = now_ns();
   token_ = tracer().begin_span(name, start_ns_);

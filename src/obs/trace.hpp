@@ -61,9 +61,6 @@ class Tracer {
   /// still open at write time are skipped.
   void write_chrome_json(std::ostream& out) const;
 
-  /// Human-readable summary tree, indented by nesting depth.
-  void write_summary(std::ostream& out) const;
-
   /// Summary rows, sorted by path (parents precede children).
   std::vector<SpanSummary> summarize() const;
 

@@ -1,7 +1,6 @@
 #include "runtime/thread_pool.hpp"
 
 #include "runtime/telemetry.hpp"
-#include "wave/point_store.hpp"
 
 namespace tka::runtime {
 namespace {
@@ -61,9 +60,6 @@ void ThreadPool::worker_loop() {
       task();
     }
   }
-  // Deterministic teardown: return this lane's parked waveform-pool blocks
-  // before the thread exits rather than relying on TLS destructor order.
-  wave::pool::trim_thread();
 }
 
 }  // namespace tka::runtime

@@ -10,7 +10,6 @@
 #include "runtime/task_graph.hpp"
 #include "runtime/telemetry.hpp"
 #include "session/design_snapshot.hpp"
-#include "wave/point_store.hpp"
 #include "topk/stages/baseline_stage.hpp"
 #include "topk/stages/candidate_stage.hpp"
 #include "topk/stages/evaluate_stage.hpp"
@@ -29,11 +28,6 @@ using topk::stages::PruneStage;
 using topk::stages::QueryContext;
 
 namespace {
-
-// Per-thread waveform-pool bytes left parked after the per-query trim: a
-// warm set large enough that the next query's small merges hit the cache
-// immediately, small enough that idle shard workers stay lean.
-constexpr std::size_t kPoolKeepBytesPerThread = 256u << 10;
 
 // The sweep graph: one task per net (task index == net id) and one edge
 // u -> v per current-sweep input u of victim v (QueryContext::
@@ -533,14 +527,6 @@ topk::TopkResult AnalysisSession::query(bool cold,
   reg.gauge("topk.max_list_size")
       .set(static_cast<double>(result.stats.max_list_size));
   reg.gauge("topk.runtime_s").set(result.stats.runtime_s);
-
-  // Waveform-pool hygiene: the query's transient waveforms are gone, so ask
-  // every thread (lazily, at its next pool touch) to trim its free lists
-  // back to a small warm set. Long-lived shard workers otherwise keep a
-  // query-peak's worth of parked blocks forever. Long-lived waveforms
-  // (envelope cache, memo snapshots) own their blocks and are unaffected.
-  wave::pool::trim_all(kPoolKeepBytesPerThread);
-  wave::pool::publish_gauges();
 
   // Memory accounting: walk the memoized state once per query that swept
   // and publish the approximate footprints (mem.candidate_tables_bytes for

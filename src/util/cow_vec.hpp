@@ -91,16 +91,6 @@ class CowVec {
     }
   }
 
-  /// Heap bytes of the chunk arrays themselves (element-owned heap, e.g.
-  /// strings, is the caller's to measure via visit_chunks).
-  std::size_t chunk_array_bytes() const {
-    std::size_t total = chunks_.capacity() * sizeof(std::shared_ptr<Chunk>);
-    for (const auto& c : chunks_) {
-      if (c) total += c->capacity() * sizeof(T);
-    }
-    return total;
-  }
-
   class const_iterator {
    public:
     using iterator_category = std::forward_iterator_tag;

@@ -6,10 +6,10 @@
 // Outside its breakpoint span a waveform extrapolates with its boundary
 // value held constant (signals settle; pulses return to zero).
 //
-// Breakpoints are held in a PointStore (wave/point_store.hpp): small
-// waveforms inline, larger ones in thread-pooled blocks — the merge-sweep
-// kernels below build their results directly into a store, so the hot
-// paths never touch the global heap in steady state.
+// Breakpoints are held in a PointStore (wave/point_store.hpp): degenerate
+// waveforms inline, larger ones in one heap block each — the merge-sweep
+// kernels below reserve an upper bound once and write their results
+// straight into the store.
 //
 // Units across the library: time in nanoseconds, voltage in volts.
 #pragma once
@@ -59,7 +59,7 @@ class Pwl {
   std::size_t heap_bytes() const { return points_.heap_bytes(); }
 
   /// Reallocates spilled storage down to the exact point count. Kernels
-  /// grow stores in pool size classes, which is right for transient
+  /// grow stores by power-of-two doubling, which is right for transient
   /// waveforms; call this before parking one in a long-lived cache so the
   /// resident footprint matches the points actually held.
   void compact() { points_.shrink_to_fit(); }

@@ -10,6 +10,7 @@
 #include "layout/parasitics.hpp"
 #include "net/netlist.hpp"
 #include "sta/analyzer.hpp"
+#include "util/string_util.hpp"
 
 namespace tka::test {
 
@@ -39,11 +40,10 @@ inline Fixture make_parallel_chains(int num_chains, int length,
   fx.netlist = std::make_unique<net::Netlist>(lib, "chains");
   const size_t buf = lib.index_of("BUFX1");
   for (int c = 0; c < num_chains; ++c) {
-    net::NetId cur = fx.netlist->add_primary_input("c" + std::to_string(c) + "_in");
+    net::NetId cur = fx.netlist->add_primary_input(str::format("c%d_in", c));
     for (int i = 0; i < length; ++i) {
-      cur = fx.netlist->add_gate(
-          buf, {cur}, "c" + std::to_string(c) + "_g" + std::to_string(i),
-          "c" + std::to_string(c) + "_n" + std::to_string(i));
+      cur = fx.netlist->add_gate(buf, {cur}, str::format("c%d_g%d", c, i),
+                                 str::format("c%d_n%d", c, i));
     }
     fx.netlist->mark_primary_output(cur);
   }

@@ -8,6 +8,7 @@
 #include "layout/parasitics.hpp"
 #include "net/builder.hpp"
 #include "sta/incremental.hpp"
+#include "util/string_util.hpp"
 
 namespace tka::sta {
 namespace {
@@ -142,7 +143,7 @@ TEST(IncrementalSta, OnlyConeRecomputed) {
   const net::CellLibrary& lib = nl->library();
   net::NetId cur = nl->add_primary_input("in2");
   for (int i = 0; i < 4; ++i) {
-    cur = nl->add_gate(lib.index_of("BUFX1"), {cur}, "y" + std::to_string(i));
+    cur = nl->add_gate(lib.index_of("BUFX1"), {cur}, str::format("y%d", i));
   }
   nl->mark_primary_output(cur);
 

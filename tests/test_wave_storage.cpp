@@ -1,15 +1,15 @@
-// PointStore / pool storage tests: SBO <-> pool spill round-trips stay
-// bit-identical to a plain heap vector, and the pool's byte accounting
-// balances back to zero once every waveform is destroyed and the free
-// lists are trimmed (the invariant the session relies on when it trims
-// per query and publishes mem.wave_pool_* gauges).
+// PointStore storage tests: inline <-> heap spill round trips stay
+// bit-identical to a plain std::vector reference, moves steal the block,
+// and the exact-size paths (assign, shrink_to_fit) hold no growth slack,
+// the footprint the envelope table and I-list insertion rely on when they
+// park waveforms through Pwl::compact().
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "obs/metrics.hpp"
 #include "wave/point_store.hpp"
 #include "wave/pwl.hpp"
 
@@ -97,6 +97,61 @@ TEST(PointStore, MoveStealsSpilledBlockWithoutCopy) {
   EXPECT_FALSE(a.spilled());
 }
 
+bool same_bits(const PointStore& s, const std::vector<Point>& ref) {
+  return s.size() == ref.size() &&
+         (ref.empty() ||
+          std::memcmp(s.data(), ref.data(), ref.size() * sizeof(Point)) == 0);
+}
+
+// Growth rounds capacity up to a power of two; the two paths that size a
+// block for a kept waveform do not. shrink_to_fit() (behind Pwl::compact(),
+// which the envelope table and I-list insertion call before parking a
+// waveform) and assign() (copies) allocate exactly the points held.
+TEST(PointStore, ShrinkToFitAndAssignAreExact) {
+  std::vector<Point> ref;
+  for (int i = 0; i < 37; ++i) ref.push_back({0.25 * i, -0.5 * i + 0.1});
+  ref[3].v = -0.0;  // sign bits must survive the copies too
+
+  PointStore s;
+  for (const Point& p : ref) s.push_back(p);
+  ASSERT_TRUE(s.spilled());
+  ASSERT_EQ(s.capacity(), 64u);  // 4, 8, 16, 32, 64
+  s.shrink_to_fit();
+  EXPECT_TRUE(s.spilled());
+  EXPECT_EQ(s.capacity(), ref.size());
+  EXPECT_EQ(s.heap_bytes(), s.size() * sizeof(Point));
+  EXPECT_TRUE(same_bits(s, ref));
+
+  // Cut to at most one point, a store goes back inline and owns no heap.
+  for (const std::size_t keep : {std::size_t{1}, std::size_t{0}}) {
+    PointStore cut = s;
+    cut.truncate(keep);
+    cut.shrink_to_fit();
+    EXPECT_FALSE(cut.spilled());
+    EXPECT_EQ(cut.heap_bytes(), 0u);
+    EXPECT_TRUE(same_bits(cut, {ref.begin(), ref.begin() + keep}));
+  }
+
+  // assign() into a smaller store, inline or spilled, allocates exactly n;
+  // so does a copy of a store that carries growth slack.
+  PointStore from_inline;
+  from_inline.push_back(ref[0]);
+  PointStore from_spilled;
+  for (int i = 0; i < 5; ++i) from_spilled.push_back(ref[i]);
+  ASSERT_EQ(from_spilled.capacity(), 8u);
+  for (PointStore* t : {&from_inline, &from_spilled}) {
+    t->assign(ref.data(), 23);
+    EXPECT_EQ(t->capacity(), 23u);
+    EXPECT_EQ(t->heap_bytes(), 23 * sizeof(Point));
+    EXPECT_TRUE(same_bits(*t, {ref.begin(), ref.begin() + 23}));
+  }
+  PointStore grown;
+  for (const Point& p : ref) grown.push_back(p);
+  const PointStore copy = grown;
+  EXPECT_EQ(copy.heap_bytes(), ref.size() * sizeof(Point));
+  EXPECT_TRUE(same_bits(copy, ref));
+}
+
 // Round-trip a Pwl through spill-inducing kernels and compare with the same
 // computation done at inline-resident sizes: storage location must never
 // change values.
@@ -122,62 +177,6 @@ TEST(PwlStorage, SpilledAndInlineComputeIdenticalValues) {
     ASSERT_TRUE(sum.minus(b).plus(b).same_points(sum));
     ASSERT_EQ(diff.size(), sum.size());
   }
-}
-
-// After every store is destroyed and the calling thread's free list is
-// trimmed, the pool's balance returns to where it started: live bytes to
-// the pre-test level and this thread's cache to zero. The session performs
-// exactly this reset per query.
-TEST(PoolAccounting, ZeroBalanceAfterTrim) {
-  pool::trim_all(0);
-  const pool::Stats before = pool::stats();
-  {
-    std::vector<Pwl> keep;
-    std::mt19937_64 rng(13);
-    std::uniform_real_distribution<double> val(0.0, 1.0);
-    for (int i = 0; i < 64; ++i) {
-      std::vector<Point> pts;
-      double t = 0.0;
-      for (int j = 0; j < 40; ++j) {
-        t += 0.02 + val(rng);
-        pts.push_back({t, val(rng)});
-      }
-      keep.emplace_back(pts);
-    }
-    const pool::Stats during = pool::stats();
-    EXPECT_GT(during.live_bytes, before.live_bytes);
-    EXPECT_GT(during.alloc_calls, before.alloc_calls);
-  }
-  pool::trim_all(0);
-  const pool::Stats after = pool::stats();
-  EXPECT_EQ(after.live_bytes, before.live_bytes);
-  EXPECT_EQ(pool::thread_cached_bytes(), 0u);
-
-  // The published gauges must mirror the balanced accounting.
-  pool::publish_gauges();
-  const double pool_gauge =
-      obs::registry().gauge("mem.wave_pool_bytes").value();
-  const double cached_gauge =
-      obs::registry().gauge("mem.wave_pool_cached_bytes").value();
-  EXPECT_EQ(cached_gauge, 0.0);
-  EXPECT_EQ(pool_gauge, static_cast<double>(after.live_bytes));
-}
-
-// Released blocks park on the free list (cached bytes) and are reused by
-// the next allocation of the same size class instead of hitting the heap.
-TEST(PoolAccounting, FreeListReuseIsAHit) {
-  pool::trim_all(0);
-  const std::size_t cap = pool::round_capacity(100);
-  Point* p = pool::alloc(cap);
-  pool::release(p, cap);
-  EXPECT_GT(pool::thread_cached_bytes(), 0u);
-  const pool::Stats before = pool::stats();
-  Point* q = pool::alloc(cap);
-  const pool::Stats after = pool::stats();
-  EXPECT_EQ(q, p);  // same block back
-  EXPECT_EQ(after.cache_hits, before.cache_hits + 1);
-  pool::release(q, cap);
-  pool::trim_all(0);
 }
 
 }  // namespace

@@ -87,7 +87,6 @@ void report_bench(const std::string& path, double wait_threshold_pct) {
   // skipped — never an error — when absent.
   bool any_lanes = false;
   bool any_memory = false;
-  bool any_pool = false;
   for (const Value& b : benchmarks->array) {
     const Value* name = b.find("name");
     const std::string label =
@@ -101,16 +100,6 @@ void report_bench(const std::string& path, double wait_threshold_pct) {
       any_memory = true;
       std::printf("  peak rss %7.1f MiB",
                   mib(memory->number_or("peak_rss_bytes", 0.0)));
-      // Allocation/arena column: wave-pool occupancy (live + free-listed
-      // blocks) at case end, and its share of the resident set. Absent on
-      // pre-arena BENCH files, which simply don't get the column.
-      if (memory->find("wave_pool_bytes") != nullptr) {
-        any_pool = true;
-        const double pool = memory->number_or("wave_pool_bytes", 0.0);
-        const double rss = memory->number_or("rss_bytes", 0.0);
-        std::printf("  wave pool %7.1f KiB (%4.1f%% of rss)", pool / 1024.0,
-                    rss > 0.0 ? 100.0 * pool / rss : 0.0);
-      }
     }
     std::printf("\n");
     const Value* telemetry = b.find("telemetry");
@@ -173,14 +162,12 @@ void report_bench(const std::string& path, double wait_threshold_pct) {
                     : "");
   }
   if (!any_memory) {
-    std::printf("(no memory records — obs-disabled build or pre-telemetry "
-                "baseline)\n");
-  } else if (!any_pool) {
-    std::printf("(no allocation records — pre-arena baseline)\n");
+    std::printf("(no memory records — BENCH file predates the memory "
+                "section)\n");
   }
   if (!any_lanes) {
-    std::printf("(no lane records — obs-disabled build or pre-telemetry "
-                "baseline)\n");
+    std::printf("(no lane records — no case ran tasks on the runtime, or "
+                "the BENCH file predates the lanes section)\n");
   }
 
   // Serving section: cases that carry service telemetry (the serve_load
@@ -299,11 +286,6 @@ void report_jsonl(const std::string& path) {
   std::size_t records = 0;
   double t_first = 0.0, t_last = 0.0;
   double rss_min = 0.0, rss_max = 0.0, rss_final = 0.0;
-  // Arena-vs-RSS timeline: the wave-pool occupancy gauge rides in the
-  // snapshot gauges once the arena-backed storage is in the binary.
-  // Pre-arena streams simply never set any_pool.
-  bool any_pool = false;
-  double pool_max = 0.0, pool_final = 0.0, pool_max_rss_share = 0.0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     Value rec;
@@ -321,17 +303,6 @@ void report_jsonl(const std::string& path) {
     rss_final = rss;
     rss_min = std::min(rss_min, rss);
     rss_max = std::max(rss_max, rss);
-    const Value* gauges = rec.find("gauges");
-    if (gauges != nullptr && gauges->is_object() &&
-        gauges->find("mem.wave_pool_bytes") != nullptr) {
-      any_pool = true;
-      const double pool = gauges->number_or("mem.wave_pool_bytes", 0.0);
-      pool_max = std::max(pool_max, pool);
-      pool_final = pool;
-      if (rss > 0.0) {
-        pool_max_rss_share = std::max(pool_max_rss_share, pool / rss);
-      }
-    }
     ++records;
   }
   if (records == 0) fail(path + ": no snapshot records");
@@ -339,14 +310,6 @@ void report_jsonl(const std::string& path) {
               "final %.1f MiB\n",
               records, t_last - t_first, mib(rss_min), mib(rss_max),
               mib(rss_final));
-  if (any_pool) {
-    std::printf("allocation: wave pool peak %.1f KiB (%.2f%% of rss), "
-                "final %.1f KiB\n",
-                pool_max / 1024.0, 100.0 * pool_max_rss_share,
-                pool_final / 1024.0);
-  } else {
-    std::printf("(no wave-pool gauge — pre-arena snapshot stream)\n");
-  }
   std::printf("\n");
 }
 
