@@ -26,14 +26,43 @@ namespace {
 struct Replay {
   const FixpointTrajectory& ref;
   /// The edit's nets, ascending: their STA windows are re-propagated.
-  std::span<const net::NetId> seeds;
+  std::vector<net::NetId> seeds;
   /// The seeds and their coupled partners: their relaxation is redone,
   /// since a partner's pulse or mask participation can change where no
   /// timing window moves.
-  const std::vector<char>& near;
-  /// Out: nets whose noiseless window differs from the recorded one.
-  std::vector<net::NetId>* changed_noiseless;
+  std::vector<char> near;
+  /// Out, when given: nets whose noiseless window differs from the
+  /// recorded one.
+  std::vector<net::NetId>* changed_noiseless = nullptr;
 };
+
+/// The replay of `ref` after an edit of `dirty_nets` and of `dirty_caps`,
+/// whose endpoints join the seeds.
+Replay replay_of(const FixpointTrajectory& ref, const layout::Parasitics& par,
+                 std::size_t num_nets, std::span<const net::NetId> dirty_nets,
+                 std::span<const layout::CapId> dirty_caps) {
+  Replay r{ref, {}, std::vector<char>(num_nets, 0)};
+  auto seed_net = [&](net::NetId n) {
+    TKA_ASSERT(n < num_nets);
+    if (!r.near[n]) {
+      r.near[n] = 1;
+      r.seeds.push_back(n);
+    }
+  };
+  for (net::NetId n : dirty_nets) seed_net(n);
+  for (layout::CapId id : dirty_caps) {
+    const layout::CouplingCap& cc = par.coupling(id);
+    seed_net(cc.net_a);
+    seed_net(cc.net_b);
+  }
+  std::sort(r.seeds.begin(), r.seeds.end());
+  for (net::NetId n : r.seeds) {
+    for (layout::CapId id : par.couplings_of(n)) {
+      r.near[par.coupling(id).other(n)] = 1;
+    }
+  }
+  return r;
+}
 
 /// The fixpoint loop. Without `replay` every STA is a full run_sta() and
 /// every victim relaxes. With it, each STA evaluation adopts the recorded
@@ -44,8 +73,8 @@ struct Replay {
 NoiseReport converge(const net::Netlist& nl, const layout::Parasitics& par,
                      const sta::DelayModel& model,
                      const CouplingCalculator& calc, const CouplingMask& mask,
-                     const IterativeOptions& opt, const Replay* replay,
-                     FixpointTrajectory* record) {
+                     const sta::StaOptions& sta_opt, int threads,
+                     const Replay* replay, FixpointTrajectory* record) {
   TKA_ASSERT(mask.size() == par.num_couplings());
   const FixpointTrajectory* ref = replay != nullptr ? &replay->ref : nullptr;
   // Replays count apart from cold runs, so noise.fixpoint_* is cold work.
@@ -72,13 +101,15 @@ NoiseReport converge(const net::Netlist& nl, const layout::Parasitics& par,
 
   sta::StaResult base;
   if (ref != nullptr) {
-    sta::IncrementalSta inc(nl, model, opt.sta, ref->base, {});
+    sta::IncrementalSta inc(nl, model, sta_opt, ref->base, {});
     for (net::NetId n : replay->seeds) inc.invalidate_net(n);
     inc.update();
-    *replay->changed_noiseless = inc.last_changed();
+    if (replay->changed_noiseless != nullptr) {
+      *replay->changed_noiseless = inc.last_changed();
+    }
     base = inc.result();
   } else {
-    base = sta::run_sta(nl, model, opt.sta);
+    base = sta::run_sta(nl, model, sta_opt);
   }
   report.noiseless_windows = base.windows;
   report.noiseless_delay = base.max_lat;
@@ -105,7 +136,7 @@ NoiseReport converge(const net::Netlist& nl, const layout::Parasitics& par,
       seed.windows = ref->windows[idx];
       seed.gate_delay = base.gate_delay;
       seed.gate_trans = base.gate_trans;
-      sta::IncrementalSta inc(nl, model, opt.sta, std::move(seed),
+      sta::IncrementalSta inc(nl, model, sta_opt, std::move(seed),
                               ref->bumps[idx]);
       for (net::NetId n : replay->seeds) inc.invalidate_net(n);
       for (net::NetId v = 0; v < num_nets; ++v) inc.set_lat_bump(v, bump[v]);
@@ -114,7 +145,7 @@ NoiseReport converge(const net::Netlist& nl, const layout::Parasitics& par,
       for (net::NetId n : inc.last_changed()) win_dirty[n] = 1;
       cur = inc.result();
     } else {
-      cur = sta::run_sta(nl, model, opt.sta, &bump);
+      cur = sta::run_sta(nl, model, sta_opt, &bump);
       if (ref != nullptr) win_dirty.assign(num_nets, 1);
     }
     if (record != nullptr) {
@@ -170,13 +201,13 @@ NoiseReport converge(const net::Netlist& nl, const layout::Parasitics& par,
         if (dv[v]) redo.push_back(v);
       }
       c_victims.add(redo.size());
-      runtime::parallel_for(opt.threads, 0, redo.size(),
+      runtime::parallel_for(threads, 0, redo.size(),
                             [&](std::size_t i) { relax(redo[i]); });
       const std::vector<double>& recorded = ref->bumps[idx + 1];
       bump_dirty.assign(num_nets, 0);
       for (net::NetId v : redo) bump_dirty[v] = next[v] != recorded[v];
     } else {
-      runtime::parallel_for(opt.threads, 0, num_nets, relax);
+      runtime::parallel_for(threads, 0, num_nets, relax);
       if (ref != nullptr) {
         c_victims.add(num_nets);
         bump_dirty.assign(num_nets, 1);
@@ -228,7 +259,8 @@ NoiseReport analyze_iterative(const net::Netlist& nl, const layout::Parasitics& 
                               const CouplingCalculator& calc,
                               const CouplingMask& mask,
                               const IterativeOptions& opt) {
-  return converge(nl, par, model, calc, mask, opt, nullptr, nullptr);
+  return converge(nl, par, model, calc, mask, opt.sta, opt.threads, nullptr,
+                  nullptr);
 }
 
 IncrementalFixpoint::IncrementalFixpoint(const net::Netlist& nl,
@@ -238,10 +270,12 @@ IncrementalFixpoint::IncrementalFixpoint(const net::Netlist& nl,
                                          const IterativeOptions& options)
     : nl_(&nl), par_(&par), model_(&model), calc_(&calc), opt_(options) {}
 
+IncrementalFixpoint::~IncrementalFixpoint() = default;
+
 const NoiseReport& IncrementalFixpoint::recompute(const CouplingMask& mask) {
-  auto traj = std::make_shared<FixpointTrajectory>();
-  report_ = converge(*nl_, *par_, *model_, *calc_, mask, opt_, nullptr,
-                     traj.get());
+  auto traj = std::make_unique<FixpointTrajectory>();
+  report_ = converge(*nl_, *par_, *model_, *calc_, mask, opt_.sta,
+                     opt_.threads, nullptr, traj.get());
   traj_ = std::move(traj);
   changed_noiseless_.clear();
   changed_noisy_.clear();
@@ -253,33 +287,11 @@ const NoiseReport& IncrementalFixpoint::refresh(
     std::span<const layout::CapId> dirty_caps, const CouplingMask& mask) {
   TKA_ASSERT(primed());
   const std::size_t num_nets = nl_->num_nets();
-
-  std::vector<char> near(num_nets, 0);
-  std::vector<net::NetId> seeds;
-  auto seed_net = [&](net::NetId n) {
-    TKA_ASSERT(n < num_nets);
-    if (!near[n]) {
-      near[n] = 1;
-      seeds.push_back(n);
-    }
-  };
-  for (net::NetId n : dirty_nets) seed_net(n);
-  for (layout::CapId id : dirty_caps) {
-    const layout::CouplingCap& cc = par_->coupling(id);
-    seed_net(cc.net_a);
-    seed_net(cc.net_b);
-  }
-  std::sort(seeds.begin(), seeds.end());
-  for (net::NetId n : seeds) {
-    for (layout::CapId id : par_->couplings_of(n)) {
-      near[par_->coupling(id).other(n)] = 1;
-    }
-  }
-
-  auto traj = std::make_shared<FixpointTrajectory>();
-  const Replay replay{*traj_, seeds, near, &changed_noiseless_};
-  NoiseReport next = converge(*nl_, *par_, *model_, *calc_, mask, opt_,
-                              &replay, traj.get());
+  Replay replay = replay_of(*traj_, *par_, num_nets, dirty_nets, dirty_caps);
+  replay.changed_noiseless = &changed_noiseless_;
+  auto traj = std::make_unique<FixpointTrajectory>();
+  NoiseReport next = converge(*nl_, *par_, *model_, *calc_, mask, opt_.sta,
+                              opt_.threads, &replay, traj.get());
   changed_noisy_.clear();
   for (net::NetId v = 0; v < num_nets; ++v) {
     if (!(next.noisy_windows[v] == report_.noisy_windows[v]) ||
@@ -290,6 +302,16 @@ const NoiseReport& IncrementalFixpoint::refresh(
   report_ = std::move(next);
   traj_ = std::move(traj);
   return report_;
+}
+
+double IncrementalFixpoint::evaluate(std::span<const layout::CapId> members,
+                                     const CouplingMask& mask,
+                                     int threads) const {
+  TKA_ASSERT(primed());
+  const Replay replay = replay_of(*traj_, *par_, nl_->num_nets(), {}, members);
+  return converge(*nl_, *par_, *model_, *calc_, mask, opt_.sta, threads,
+                  &replay, nullptr)
+      .noisy_delay;
 }
 
 }  // namespace tka::noise

@@ -10,16 +10,16 @@
 // One loop computes every fixpoint. Run cold (analyze_iterative, and
 // IncrementalFixpoint::recompute, which also records the run), every STA
 // is a full run_sta() and every victim relaxes. IncrementalFixpoint::
-// refresh() runs the same loop against the recorded run after a small
-// design or mask edit: each iteration adopts the recorded windows through
-// sta::IncrementalSta, applies the edit cone plus the bumps that differ
-// from the recorded ones, and re-runs the per-victim relaxation only where
-// an input actually changed — the recorded result is reused everywhere
-// else. A value is only ever reused when its inputs are bitwise identical
-// to the recorded run's, so a refresh is bit-identical to a cold run on
-// the edited design, at every thread count; once the replay outlasts the
-// recorded iterations it takes cold steps, which keeps the identity
-// unconditional.
+// refresh() and evaluate() run the same loop against the recorded run
+// after a small design or mask edit: each iteration adopts the recorded
+// windows through sta::IncrementalSta, applies the edit cone plus the bumps
+// that differ from the recorded ones, and re-runs the per-victim relaxation
+// only where an input actually changed — the recorded result is reused
+// everywhere else. A value is only ever reused when its inputs are bitwise
+// identical to the recorded run's, so a replay is bit-identical to a cold
+// run on the edited design or mask, at every thread count; once the replay
+// outlasts the recorded iterations it takes cold steps, which keeps the
+// identity unconditional.
 #pragma once
 
 #include <memory>
@@ -70,16 +70,20 @@ NoiseReport analyze_iterative(const net::Netlist& nl, const layout::Parasitics& 
 /// (defined in iterative.cpp).
 struct FixpointTrajectory;
 
-/// Persistent fixpoint state for a (design, mask-polarity) pair. Cheap to
-/// copy: a recorded trajectory is never modified, so copies share it, and
-/// warm candidate evaluation clones the primed object and refreshes the
-/// clone under a perturbed mask.
+/// Persistent fixpoint state for a (design, mask-polarity) pair: the last
+/// run's report and its recorded trajectory. refresh() moves it to an
+/// edited design; evaluate() replays it under a perturbed mask and leaves
+/// it untouched, so one primed object answers any number of concurrent
+/// evaluations.
 class IncrementalFixpoint {
  public:
   IncrementalFixpoint(const net::Netlist& nl, const layout::Parasitics& par,
                       const sta::DelayModel& model,
                       const CouplingCalculator& calc,
                       const IterativeOptions& options);
+  ~IncrementalFixpoint();
+  IncrementalFixpoint(const IncrementalFixpoint&) = delete;
+  IncrementalFixpoint& operator=(const IncrementalFixpoint&) = delete;
 
   /// Cold run: records the trajectory and primes the object. Counter-for-
   /// counter identical to a plain analyze_iterative() call.
@@ -94,13 +98,16 @@ class IncrementalFixpoint {
                              std::span<const layout::CapId> dirty_caps,
                              const CouplingMask& mask);
 
+  /// Circuit delay under `mask`, which may differ from the primed one only
+  /// on `members`: the replay refresh({}, members, mask) would run, on
+  /// `threads` relaxation workers, recording nothing and changing nothing.
+  /// Bitwise analyze_iterative(mask).noisy_delay. Requires primed(); safe
+  /// to call concurrently.
+  double evaluate(std::span<const layout::CapId> members,
+                  const CouplingMask& mask, int threads) const;
+
   bool primed() const { return traj_ != nullptr; }
   const NoiseReport& report() const { return report_; }
-
-  /// Overrides the relaxation worker count (e.g. a clone evaluated inside
-  /// an already-parallel region drops to 1). Thread count never changes
-  /// values, only scheduling.
-  void set_threads(int threads) { opt_.threads = threads; }
 
   /// Nets whose noiseless window changed in the last refresh() (exact
   /// diffs vs. the previous report), ascending id. Empty after recompute().
@@ -118,7 +125,7 @@ class IncrementalFixpoint {
   IterativeOptions opt_;
 
   NoiseReport report_;
-  std::shared_ptr<const FixpointTrajectory> traj_;  ///< the last run's
+  std::unique_ptr<const FixpointTrajectory> traj_;  ///< the last run's
   std::vector<net::NetId> changed_noiseless_;
   std::vector<net::NetId> changed_noisy_;
 };

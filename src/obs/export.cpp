@@ -12,9 +12,13 @@
 #include "obs/clock.hpp"
 #include "obs/memory.hpp"
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 #include "util/string_util.hpp"
 
 namespace tka::obs {
+
+using util::json::escape;
+
 namespace {
 
 std::string num(double v) {
@@ -106,20 +110,22 @@ void write_snapshot_line(std::ostream& out) {
       << ", \"rss_bytes\": " << current_rss_bytes() << ", \"counters\": {";
   bool first = true;
   for (const auto& [name, value] : snap.counters) {
-    out << (first ? "" : ", ") << "\"" << name << "\": " << value;
+    out << (first ? "" : ", ") << "\"" << escape(name)
+        << "\": " << value;
     first = false;
   }
   out << "}, \"gauges\": {";
   first = true;
   for (const auto& [name, value] : snap.gauges) {
-    out << (first ? "" : ", ") << "\"" << name << "\": " << num(value);
+    out << (first ? "" : ", ") << "\"" << escape(name)
+        << "\": " << num(value);
     first = false;
   }
   out << "}, \"histograms\": {";
   first = true;
   for (const auto& [name, stats] : snap.histograms) {
-    out << (first ? "" : ", ") << "\"" << name << "\": {\"count\": "
-        << stats.count << ", \"sum\": " << num(stats.sum)
+    out << (first ? "" : ", ") << "\"" << escape(name)
+        << "\": {\"count\": " << stats.count << ", \"sum\": " << num(stats.sum)
         << ", \"p50\": " << num(stats.p50) << ", \"p90\": " << num(stats.p90)
         << ", \"max\": " << num(stats.max) << "}";
     first = false;

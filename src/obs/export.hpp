@@ -16,8 +16,9 @@ namespace tka::obs {
 void add_collector(void (*fn)());
 
 /// Runs every registered collector and refreshes the mem.rss_bytes /
-/// mem.rss_peak_bytes gauges. Called by the writers below; exposed for
-/// callers that dump the registry through other paths (write_json).
+/// mem.rss_peak_bytes gauges (the peak from the kernel's VmHWM, so it never
+/// falls). Called by the writers below; exposed for callers that dump the
+/// registry through other paths (write_metrics_json).
 void run_collectors();
 
 /// Prometheus text exposition (version 0.0.4): one `# TYPE` line plus
@@ -29,7 +30,8 @@ void write_prometheus_text(std::ostream& out);
 /// One JSON object on a single line (a JSONL record):
 ///   {"t_s": <monotonic seconds>, "rss_bytes": N, "counters": {...},
 ///    "gauges": {...}, "histograms": {name: {count,sum,p50,p90,max}}}
-/// Runs collectors first. No trailing newline — callers add it.
+/// Names are JSON-escaped. Runs collectors first. No trailing newline —
+/// callers add it.
 void write_snapshot_line(std::ostream& out);
 
 /// Periodic JSONL snapshot writer: appends one write_snapshot_line record

@@ -1,9 +1,10 @@
 #include "obs/memory.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 
 namespace tka::obs {
@@ -56,52 +57,6 @@ std::atomic<std::int64_t>& intern_total(std::string_view name) {
 }
 
 }  // namespace
-
-RssSampler::RssSampler(int interval_ms) {
-  if (interval_ms < 1) interval_ms = 1;
-  sample_once();
-  thread_ = std::thread([this, interval_ms]() { loop(interval_ms); });
-}
-
-RssSampler::~RssSampler() { stop(); }
-
-void RssSampler::stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  sample_once();  // final reading so peak() reflects the full run
-}
-
-void RssSampler::loop(int interval_ms) {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    cv_.wait_for(lock, std::chrono::milliseconds(interval_ms));
-    if (stop_) break;
-    lock.unlock();
-    sample_once();
-    lock.lock();
-  }
-}
-
-void RssSampler::sample_once() {
-  const std::uint64_t cur = current_rss_bytes();
-  const std::uint64_t hwm = peak_rss_bytes();
-  std::uint64_t peak = peak_.load(std::memory_order_relaxed);
-  const std::uint64_t candidate = cur > hwm ? cur : hwm;
-  while (candidate > peak &&
-         !peak_.compare_exchange_weak(peak, candidate,
-                                      std::memory_order_relaxed)) {
-  }
-  samples_.fetch_add(1, std::memory_order_relaxed);
-  MetricsRegistry& reg = registry();
-  reg.gauge("mem.rss_bytes").set(static_cast<double>(cur));
-  reg.gauge("mem.rss_peak_bytes")
-      .set(static_cast<double>(peak_.load(std::memory_order_relaxed)));
-}
 
 TrackedBytes::TrackedBytes(std::string_view gauge_name)
     : total_(&intern_total(gauge_name)),

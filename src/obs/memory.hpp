@@ -1,18 +1,15 @@
-// Memory accounting: process RSS readings, a background RSS sampler, and
-// the TrackedBytes hook that lets owning data structures (envelope cache,
-// candidate tables, what-if memo) publish their approximate footprint as
-// mem.* gauges.
+// Memory accounting: process RSS readings and the TrackedBytes hook that
+// lets owning data structures (envelope cache, candidate tables, what-if
+// memo) publish their approximate footprint as mem.* gauges.
 //
-// The raw RSS readers are plain /proc reads with no registry behind them,
-// so the bench harness records peak_rss_bytes without the sampler running.
+// The RSS readers are plain /proc reads with no registry behind them;
+// obs::run_collectors() publishes them as the mem.rss_bytes and
+// mem.rss_peak_bytes gauges before every metrics snapshot.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <string_view>
-#include <thread>
 
 #include "obs/metrics.hpp"
 
@@ -25,39 +22,6 @@ std::uint64_t current_rss_bytes();
 /// Kernel-maintained peak resident set size in bytes (VmHWM). Monotone for
 /// the life of the process. Returns 0 when unavailable.
 std::uint64_t peak_rss_bytes();
-
-/// Background thread that samples RSS every `interval_ms` and publishes the
-/// mem.rss_bytes (timeline) and mem.rss_peak_bytes (monotone high-water)
-/// gauges. peak() folds in the kernel's VmHWM so short spikes between
-/// samples are not lost. Stops (joining the thread) on destruction.
-class RssSampler {
- public:
-  explicit RssSampler(int interval_ms = 100);
-  ~RssSampler();
-
-  RssSampler(const RssSampler&) = delete;
-  RssSampler& operator=(const RssSampler&) = delete;
-
-  void stop();
-
-  /// Highest RSS seen so far (max of samples and VmHWM); monotone.
-  std::uint64_t peak() const { return peak_.load(std::memory_order_relaxed); }
-  /// Number of samples taken so far.
-  std::uint64_t samples() const {
-    return samples_.load(std::memory_order_relaxed);
-  }
-
- private:
-  void loop(int interval_ms);
-  void sample_once();
-
-  std::atomic<std::uint64_t> peak_{0};
-  std::atomic<std::uint64_t> samples_{0};
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
 
 /// Byte-accounting handle tied to one mem.* gauge. Each instance remembers
 /// its own contribution (`held`) and removes it on destruction, so the

@@ -4,9 +4,12 @@
 #include <limits>
 #include <ostream>
 
+#include "util/json.hpp"
 #include "util/string_util.hpp"
 
 namespace tka::obs {
+
+using util::json::escape;
 
 MetricsSnapshot counters_delta(const MetricsSnapshot& before,
                                const MetricsSnapshot& after) {
@@ -121,31 +124,28 @@ Histogram& MetricsRegistry::histogram(std::string_view name, double lo, double h
   return *it->second;
 }
 
-void MetricsRegistry::write_json(std::ostream& out) const {
-  out << "{\n";
-  write_json_fields(out);
-  out << "\n}";
-}
-
 void MetricsRegistry::write_json_fields(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mu_);
   out << "  \"counters\": {";
   bool first = true;
   for (const auto& [name, c] : counters_) {
-    out << (first ? "\n" : ",\n") << "    \"" << name << "\": " << c->value();
+    out << (first ? "\n" : ",\n") << "    \"" << escape(name)
+        << "\": " << c->value();
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
   for (const auto& [name, g] : gauges_) {
-    out << (first ? "\n" : ",\n") << "    \"" << name << "\": " << num(g->value());
+    out << (first ? "\n" : ",\n") << "    \"" << escape(name)
+        << "\": " << num(g->value());
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : histograms_) {
-    out << (first ? "\n" : ",\n") << "    \"" << name << "\": {\"count\": "
-        << h->count() << ", \"sum\": " << num(h->sum()) << ", \"buckets\": [";
+    out << (first ? "\n" : ",\n") << "    \"" << escape(name)
+        << "\": {\"count\": " << h->count() << ", \"sum\": " << num(h->sum())
+        << ", \"buckets\": [";
     bool bfirst = true;
     for (std::size_t i = 0; i < Histogram::kNumBuckets; ++i) {
       if (h->bucket_count(i) == 0) continue;

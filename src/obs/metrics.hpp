@@ -46,7 +46,7 @@ struct HistogramStats {
 
 /// Point-in-time copy of every metric in the registry: counters, gauges,
 /// and per-histogram distribution summaries (count/sum/p50/p90/max — full
-/// bucket arrays stay behind write_json()/visit_histograms()).
+/// bucket arrays stay behind write_json_fields()/visit_histograms()).
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
@@ -141,15 +141,13 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name, double lo = 1e-6, double hi = 100.0);
 
-  /// Dumps every metric as one JSON object:
-  /// { "counters": {name: int}, "gauges": {name: num},
+  /// Writes every metric as three JSON object fields, without the
+  /// surrounding braces, for callers that splice them into an object
+  /// (write_metrics_json):
+  ///   "counters": {name: int}, "gauges": {name: num},
   ///   "histograms": {name: {"count": int, "sum": num,
-  ///                         "buckets": [{"le": num|"+Inf", "n": int}]}} }
-  /// Histogram buckets with zero count are omitted.
-  void write_json(std::ostream& out) const;
-
-  /// The three fields of write_json without the surrounding braces, for
-  /// callers that splice extra fields into the same object.
+  ///                         "buckets": [{"le": num|"+Inf", "n": int}]}}
+  /// Names are JSON-escaped. Histogram buckets with zero count are omitted.
   void write_json_fields(std::ostream& out) const;
 
   /// Copies every counter and gauge value plus per-histogram summary stats.

@@ -145,19 +145,6 @@ topk::TopkResult AnalysisSession::what_if(std::span<const WhatIfEdit> edits,
       BaselineStage::refresh(design(), opt_, edit_nets, edit_caps, &base_,
                              &seeds);
     }
-    if (opt_.mode == topk::Mode::kAddition && opt_.reevaluate) {
-      // Addition evaluates candidate sets against the mask=none fixpoint;
-      // keep a primed one warm for the re-ranking stage.
-      const noise::CouplingMask none =
-          noise::CouplingMask::none(par_.num_couplings());
-      if (fp_none_ == nullptr) {
-        fp_none_ = std::make_unique<noise::IncrementalFixpoint>(
-            nl_, par_, model_, calc_, opt_.iterative);
-        fp_none_->recompute(none);
-      } else if (!edits.empty()) {
-        fp_none_->refresh(edit_nets, edit_caps, none);
-      }
-    }
   }
 
   if (!edits.empty()) {
@@ -192,30 +179,6 @@ bool lists_equal(std::span<const topk::CandidateSet> a,
 
 }  // namespace
 
-double AnalysisSession::evaluate_members(
-    std::span<const layout::CapId> members,
-    const noise::IterativeOptions& iterative, bool warm) {
-  const bool addition = (opt_.mode == topk::Mode::kAddition);
-  if (warm) {
-    const noise::IncrementalFixpoint* base_fp =
-        addition ? fp_none_.get() : base_.fixpoint.get();
-    if (base_fp != nullptr && base_fp->primed()) {
-      // Clone the primed fixpoint and re-converge the clone under the
-      // perturbed mask: bit-identical to the cold analyze_iterative call,
-      // at a fraction of the iterations.
-      noise::IncrementalFixpoint fp = *base_fp;
-      fp.set_threads(iterative.threads);
-      noise::CouplingMask mask =
-          addition ? noise::CouplingMask::none(par_.num_couplings())
-                   : noise::CouplingMask::all(par_.num_couplings());
-      for (layout::CapId id : members) mask.set(id, addition);
-      fp.refresh({}, members, mask);
-      return fp.report().noisy_delay;
-    }
-  }
-  return BaselineStage::masked_delay(design(), members, opt_.mode, iterative);
-}
-
 topk::TopkResult AnalysisSession::query(bool cold,
                                         const std::vector<net::NetId>* seeds,
                                         std::size_t k) {
@@ -225,7 +188,6 @@ topk::TopkResult AnalysisSession::query(bool cold,
   // span durations and registry values agree with each other.
   const std::int64_t run_start_ns = obs::now_ns();
   const int threads = opt.threads;
-  const noise::IterativeOptions& iter_opt = opt.iterative;
   obs::ScopedSpan run_span(cold ? "topk.run" : "topk.whatif");
   run_span.arg("k", static_cast<std::int64_t>(k))
       .arg("mode",
@@ -264,11 +226,10 @@ topk::TopkResult AnalysisSession::query(bool cold,
     base_ = topk::stages::BaselineState{};
     {
       obs::ScopedSpan stage_span("topk.stage.baseline");
-      BaselineStage::prime(design(), opt, iter_opt, &base_);
+      BaselineStage::prime(design(), opt, opt.iterative, &base_);
     }
     memo_ = topk::stages::SweepMemo{};
     memo_.retain = sopt_.retain_candidates;
-    fp_none_.reset();
   }
   // The cardinalities this query sweeps: a warm query re-enumerates the
   // memo's 1..warm_to from its seeds, and any query sweeps the ones above
@@ -308,7 +269,6 @@ topk::TopkResult AnalysisSession::query(bool cold,
   QueryContext ctx;
   ctx.design = design();
   ctx.opt = &opt;
-  ctx.iter_opt = iter_opt;
   ctx.threads = threads;
   ctx.addition = addition;
   ctx.base = &base_;
@@ -317,11 +277,6 @@ topk::TopkResult AnalysisSession::query(bool cold,
   ctx.levels = levels;
   ctx.memo = &memo_;
   ctx.result = &result;
-  const bool warm_eval = !cold && sopt_.retain_candidates;
-  ctx.evaluate = [this, warm_eval](std::span<const layout::CapId> members,
-                                   const noise::IterativeOptions& iterative) {
-    return evaluate_members(members, iterative, warm_eval);
-  };
   ctx.c_sets = &c_sets;
   ctx.c_gen_cap = &c_gen_cap;
   ctx.c_surviving = &c_surviving;

@@ -26,7 +26,6 @@
 // same design, at every thread count.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -89,8 +88,6 @@ class AnalysisSession {
   /// sweep every cardinality above the memo's up to k with cold tasks.
   topk::TopkResult query(bool cold, const std::vector<net::NetId>* seeds,
                          std::size_t k);
-  double evaluate_members(std::span<const layout::CapId> members,
-                          const noise::IterativeOptions& iterative, bool warm);
 
   topk::stages::DesignRef design() const {
     return {&nl_, &par_, &model_, &calc_};
@@ -117,9 +114,6 @@ class AnalysisSession {
   /// auto-release on session teardown (the TrackedBytes balance invariant).
   obs::TrackedBytes candidate_bytes_{"mem.candidate_tables_bytes"};
   obs::TrackedBytes memo_bytes_{"mem.whatif_memo_bytes"};
-  /// Addition-mode warm-evaluation base: the mask=none fixpoint, primed on
-  /// the first what_if (cold runs never need it).
-  std::unique_ptr<noise::IncrementalFixpoint> fp_none_;
 };
 
 }  // namespace tka::session

@@ -39,13 +39,20 @@ void BaselineStage::prime(const DesignRef& design, const TopkOptions& opt,
   state->vdd = state->analyzer->vdd();
 
   // The all-aggressor fixpoint is always computed: it is the elimination
-  // starting point and the addition reference. recompute() records the
-  // trajectory refresh() later replays.
+  // starting point and the addition reference. Addition's re-evaluation
+  // also needs the no-aggressor one. recompute() records the trajectory
+  // refresh() and evaluate() later replay.
   state->fixpoint = std::make_unique<noise::IncrementalFixpoint>(
       nl, par, *design.model, *design.calc, iter_opt);
   {
     obs::ScopedSpan baseline_span("topk.baseline");
     state->fixpoint->recompute(noise::CouplingMask::all(par.num_couplings()));
+    if (state->addition && opt.reevaluate) {
+      state->fixpoint_none = std::make_unique<noise::IncrementalFixpoint>(
+          nl, par, *design.model, *design.calc, iter_opt);
+      state->fixpoint_none->recompute(
+          noise::CouplingMask::none(par.num_couplings()));
+    }
   }
   const noise::NoiseReport& all_rep = state->fixpoint->report();
   state->windows =
@@ -89,6 +96,10 @@ void BaselineStage::refresh(const DesignRef& design, const TopkOptions& opt,
 
   state->fixpoint->refresh(edit_nets, edit_caps,
                            noise::CouplingMask::all(par.num_couplings()));
+  if (state->fixpoint_none != nullptr) {
+    state->fixpoint_none->refresh(
+        edit_nets, edit_caps, noise::CouplingMask::none(par.num_couplings()));
+  }
   const std::vector<net::NetId>& changed =
       state->addition ? state->fixpoint->changed_noiseless()
                       : state->fixpoint->changed_noisy();

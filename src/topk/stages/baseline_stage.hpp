@@ -1,6 +1,7 @@
 // BaselineStage: the fixpoints and every per-victim quantity the
 // enumeration stages derive from them (windows, envelopes, active coupling
-// lists with false aggressors dropped, dominance intervals, slack gates).
+// lists with false aggressors dropped, dominance intervals, slack gates),
+// plus the primed references the exact re-evaluation replays.
 //
 // prime() builds the state cold for a run; refresh() re-converges the
 // fixpoint incrementally after a design edit and reports the victims whose
@@ -19,9 +20,10 @@ namespace tka::topk::stages {
 class BaselineStage {
  public:
   /// Circuit delay with exactly `members` coupled (addition) or `members`
-  /// removed from the full set (elimination), via the iterative fixpoint.
-  /// The single source of truth for set evaluation: the engine, the brute
-  /// force reference and the benches all call this.
+  /// removed from the full set (elimination), via a cold iterative
+  /// fixpoint. The independent oracle: brute force, the benches and the
+  /// tests call it, while the engine replays its primed reference
+  /// (IncrementalFixpoint::evaluate), which must agree bitwise.
   static double masked_delay(const DesignRef& design,
                              std::span<const layout::CapId> members, Mode mode,
                              const noise::IterativeOptions& iterative);

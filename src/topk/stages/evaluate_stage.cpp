@@ -215,6 +215,19 @@ void EvaluateStage::select(std::size_t i) {
   memo.finalists_by_k.push_back(std::move(finalists));
 }
 
+double EvaluateStage::exact_delay(std::span<const layout::CapId> members,
+                                  int threads) const {
+  const BaselineState& base = *ctx_->base;
+  const bool addition = ctx_->addition;
+  const std::size_t num_caps = ctx_->design.par->num_couplings();
+  noise::CouplingMask mask = addition ? noise::CouplingMask::none(num_caps)
+                                      : noise::CouplingMask::all(num_caps);
+  for (layout::CapId id : members) mask.set(id, addition);
+  const noise::IncrementalFixpoint& reference =
+      addition ? *base.fixpoint_none : *base.fixpoint;
+  return reference.evaluate(members, mask, threads);
+}
+
 void EvaluateStage::finalize(std::size_t k) {
   const TopkOptions& opt = *ctx_->opt;
   TopkResult& result = *ctx_->result;
@@ -222,7 +235,7 @@ void EvaluateStage::finalize(std::size_t k) {
   const bool addition = ctx_->addition;
 
   obs::ScopedSpan reevaluate_span("topk.reevaluate");
-  result.evaluated_delay = ctx_->evaluate(result.members, ctx_->iter_opt);
+  result.evaluated_delay = exact_delay(result.members, opt.iterative.threads);
   if (opt.rerank_top == 0) return;
 
   // Exact re-ranking: the estimator is first-order (it does not re-run the
@@ -254,19 +267,17 @@ void EvaluateStage::finalize(std::size_t k) {
       if (finalists.size() >= opt.rerank_top) break;
     }
   }
-  // Evaluate finalists on work-stealing chunks of one — full fixpoints
-  // vary enough in iteration count that static chunking strands the lane
-  // with the slow ones (each fixpoint itself runs serial to avoid
+  // Evaluate finalists on work-stealing chunks of one — replays vary
+  // enough in iteration count that static chunking strands the lane with
+  // the slow ones (each replay itself runs serial to avoid
   // oversubscription). Per-slot writes; the winner is picked below in
   // index order so the strict-better / first-wins tie-breaking matches
   // the serial loop.
-  noise::IterativeOptions finalist_opt = ctx_->iter_opt;
-  finalist_opt.threads = 1;
   std::vector<double> finalist_delay(finalists.size(), 0.0);
   runtime::parallel_for(
       ctx_->threads, 0, finalists.size(),
       [&](std::size_t fi) {
-        finalist_delay[fi] = ctx_->evaluate(*finalists[fi], finalist_opt);
+        finalist_delay[fi] = exact_delay(*finalists[fi], /*threads=*/1);
       },
       /*grain=*/1);
   for (std::size_t fi = 0; fi < finalists.size(); ++fi) {

@@ -2,9 +2,11 @@
 // addition mode, virtual-sink unions across the hottest POs in elimination
 // mode) and the final exact re-evaluation / re-ranking of the finalists.
 //
-// Serial on the orchestrating thread except the finalist re-evaluation,
-// which fans the candidate fixpoints out over the worker pool and reduces
-// the winner in index order (strict-better, first wins).
+// A set is evaluated exactly by replaying the mode's primed reference
+// fixpoint (BaselineState) with the set's couplings flipped, for cold and
+// warm queries alike. Serial on the orchestrating thread except the
+// finalist re-evaluation, which fans the replays out over the worker pool
+// and reduces the winner in index order (strict-better, first wins).
 #pragma once
 
 #include "topk/stages/stage_context.hpp"
@@ -32,6 +34,10 @@ class EvaluateStage {
   static constexpr std::size_t kSinkBeam = 64;
   static constexpr std::size_t kFinalists = 6;
 
+  /// Full-fixpoint circuit delay with exactly `members` active (addition)
+  /// or removed (elimination), on `threads` relaxation workers.
+  double exact_delay(std::span<const layout::CapId> members,
+                     int threads) const;
   double sink_est_delay(const SinkSet& s) const;
   std::vector<layout::CapId> pad_to(std::vector<layout::CapId> members,
                                     std::size_t card) const;

@@ -19,7 +19,6 @@
 
 #include <cstddef>
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <utility>
@@ -48,8 +47,12 @@ struct BaselineState {
   double vdd = 0.0;
 
   /// The mask=all fixpoint (elimination start / addition reference), with
-  /// its recorded trajectory for incremental re-convergence.
+  /// its recorded trajectory for incremental re-convergence. Elimination's
+  /// exact re-evaluation replays it with a set's couplings removed.
   std::unique_ptr<noise::IncrementalFixpoint> fixpoint;
+  /// Addition with reevaluate on: the mask=none fixpoint, which the exact
+  /// re-evaluation replays with a set's couplings added. Null otherwise.
+  std::unique_ptr<noise::IncrementalFixpoint> fixpoint_none;
   std::unique_ptr<noise::NoiseAnalyzer> analyzer;
   /// Envelope cache over `windows`; survives refresh() so only invalidated
   /// entries rebuild.
@@ -139,8 +142,7 @@ inline const CandidateSet* best_of(std::span<const CandidateSet> sets) {
 /// One query's view over the session state, threaded through every stage.
 struct QueryContext {
   DesignRef design;
-  const TopkOptions* opt = nullptr;
-  noise::IterativeOptions iter_opt;  // threads resolved
+  const TopkOptions* opt = nullptr;  // worker counts resolved
   int threads = 1;
   bool addition = true;
 
@@ -159,13 +161,6 @@ struct QueryContext {
   /// Net -> logic level (net::net_levels), for the input rule below.
   std::span<const int> levels;
   TopkResult* result = nullptr;
-
-  /// Full-fixpoint circuit delay with exactly `members` active (addition)
-  /// or removed (elimination). Cold queries run the iterative analysis from
-  /// scratch; warm queries clone the session's primed fixpoint.
-  std::function<double(std::span<const layout::CapId>,
-                       const noise::IterativeOptions&)>
-      evaluate;
 
   // Hot metric handles, hoisted once per query.
   obs::Counter* c_sets = nullptr;

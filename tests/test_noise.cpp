@@ -3,6 +3,7 @@
 // window/noise fixpoint and the false-aggressor rule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -457,7 +458,11 @@ TEST(Iterative, IndirectAggressorNeedsIterations) {
 }
 
 // refresh() after each shield edit must equal a cold recompute() on an
-// independently edited copy, bit for bit.
+// independently edited copy, bit for bit. After each edit, evaluate() on a
+// mask=all reference with three couplings removed and on a mask=none one
+// with three added must equal analyze_iterative under that mask on the
+// copy, at 1 and 4 threads; the next refresh then still matches, so
+// evaluate() left its reference untouched.
 TEST(IncrementalFixpointTest, RefreshMatchesColdRecompute) {
   for (std::uint64_t seed : {3, 5, 8, 13, 21, 34}) {
     gen::GeneratorParams p;
@@ -471,11 +476,15 @@ TEST(IncrementalFixpointTest, RefreshMatchesColdRecompute) {
     opt.sta = ckt.sta_options();
     const std::size_t num_caps = ckt.parasitics.num_couplings();
     const CouplingMask all = CouplingMask::all(num_caps);
+    const CouplingMask none = CouplingMask::none(num_caps);
 
     sta::DelayModel model(*ckt.netlist, ckt.parasitics);
     AnalyticCouplingCalculator calc(ckt.parasitics, model);
     IncrementalFixpoint warm(*ckt.netlist, ckt.parasitics, model, calc, opt);
     warm.recompute(all);
+    IncrementalFixpoint warm_none(*ckt.netlist, ckt.parasitics, model, calc,
+                                  opt);
+    warm_none.recompute(none);
 
     std::mt19937 rng(static_cast<unsigned>(seed));
     for (int e = 0; e < 6; ++e) {
@@ -486,6 +495,7 @@ TEST(IncrementalFixpointTest, RefreshMatchesColdRecompute) {
       const net::NetId nets[] = {cc.net_a, cc.net_b};
       const layout::CapId caps[] = {cap};
       const NoiseReport& got = warm.refresh(nets, caps, all);
+      warm_none.refresh(nets, caps, none);
 
       sta::DelayModel cold_model(*ckt.netlist, cold_par);
       AnalyticCouplingCalculator cold_calc(cold_par, cold_model);
@@ -497,6 +507,27 @@ TEST(IncrementalFixpointTest, RefreshMatchesColdRecompute) {
       EXPECT_EQ(got.noisy_delay, want.noisy_delay);
       EXPECT_EQ(got.iterations, want.iterations);
       EXPECT_EQ(got.converged, want.converged);
+
+      std::vector<layout::CapId> members;
+      while (members.size() < 3) {
+        const layout::CapId id = static_cast<layout::CapId>(rng() % num_caps);
+        if (std::find(members.begin(), members.end(), id) == members.end()) {
+          members.push_back(id);
+        }
+      }
+      for (const bool addition : {false, true}) {
+        CouplingMask mask = addition ? none : all;
+        for (layout::CapId id : members) mask.set(id, addition);
+        const double want_delay =
+            analyze_iterative(*ckt.netlist, cold_par, cold_model, cold_calc,
+                              mask, opt)
+                .noisy_delay;
+        const IncrementalFixpoint& reference = addition ? warm_none : warm;
+        for (int threads : {1, 4}) {
+          EXPECT_EQ(reference.evaluate(members, mask, threads), want_delay)
+              << (addition ? "added" : "removed") << " at threads " << threads;
+        }
+      }
     }
   }
 }

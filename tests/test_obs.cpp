@@ -14,6 +14,7 @@
 #include "obs/obs.hpp"
 #include "session/analysis_session.hpp"
 #include "topk/topk_engine.hpp"
+#include "util/json.hpp"
 
 namespace tka::obs {
 namespace {
@@ -329,6 +330,36 @@ TEST_F(ObsTest, MetricsJsonRoundTrips) {
   ASSERT_EQ(spans.array.size(), 1u);
   EXPECT_EQ(spans.array[0].at("path").string, "solo");
   EXPECT_EQ(spans.array[0].at("count").number, 1.0);
+}
+
+// Metric names can carry client text (the server's per-design queue
+// gauges), so both JSON writers escape them: a name with a quote, a
+// backslash and a newline round-trips through a real parse, and the
+// snapshot record stays on one line.
+TEST_F(ObsTest, MetricNamesAreEscapedInJson) {
+  const std::string name = "test.a\"b\\c\nd";
+  registry().counter(name).add(3);
+  registry().gauge(name).set(1.5);
+  registry().histogram(name, 1.0, 10.0).observe(2.0);
+  std::ostringstream metrics;
+  write_metrics_json(metrics);
+  std::ostringstream line;
+  write_snapshot_line(line);
+  EXPECT_EQ(line.str().find('\n'), std::string::npos);
+  for (const std::string& text : {metrics.str(), line.str()}) {
+    util::json::Value doc;
+    std::string error;
+    ASSERT_TRUE(util::json::parse(text, &doc, &error)) << error << "\n" << text;
+    const util::json::Value* counters = doc.find("counters");
+    const util::json::Value* gauges = doc.find("gauges");
+    const util::json::Value* hists = doc.find("histograms");
+    ASSERT_TRUE(counters && gauges && hists);
+    EXPECT_EQ(counters->number_or(name, 0.0), 3.0);
+    EXPECT_EQ(gauges->number_or(name, 0.0), 1.5);
+    const util::json::Value* hist = hists->find(name);
+    ASSERT_NE(hist, nullptr);
+    EXPECT_EQ(hist->number_or("count", 0.0), 1.0);
+  }
 }
 
 TEST_F(ObsTest, EngineRunPopulatesExpectedMetrics) {

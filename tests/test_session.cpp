@@ -264,6 +264,33 @@ TEST(Session, WhatIfOnGeneratedCircuitMatchesColdRun) {
   }
 }
 
+// A cold run re-evaluates its chosen set and re-ranks the finalists by
+// replaying the session's primed reference fixpoint. The delay it reports
+// must equal the independent cold oracle on the returned members, bit for
+// bit, in both modes at threads 1 and 4.
+TEST(Session, ColdRunEvaluatedDelayMatchesOracle) {
+  const gen::GeneratorParams params = generated_params();
+  for (topk::Mode mode : {topk::Mode::kAddition, topk::Mode::kElimination}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "mode " << static_cast<int>(mode)
+                                      << " threads " << threads);
+      const gen::GeneratedCircuit gc = gen::generate_circuit(params);
+      const topk::TopkOptions opt = options(gc, 3, mode, threads);
+      ASSERT_TRUE(opt.reevaluate);
+      ASSERT_GT(opt.rerank_top, 0u);
+      const topk::TopkResult result = cold_reference(gc, opt);
+      ASSERT_FALSE(result.members.empty());
+
+      const sta::DelayModel model(*gc.netlist, gc.parasitics);
+      const noise::AnalyticCouplingCalculator calc(gc.parasitics, model);
+      EXPECT_EQ(result.evaluated_delay,
+                topk::stages::BaselineStage::masked_delay(
+                    {gc.netlist.get(), &gc.parasitics, &model, &calc},
+                    result.members, mode, opt.iterative));
+    }
+  }
+}
+
 // A warm session's answer at k must equal a fresh one-shot session's on the
 // same design state and k: every field the identity contract covers, and
 // the served render.

@@ -22,8 +22,8 @@
 //   --trace FILE.json     record spans; write Chrome trace-event JSON
 //                         (open in chrome://tracing or ui.perfetto.dev)
 //   --metrics FILE.json   write the metrics registry + span summary JSON
-//   --metrics-out FILE    periodic JSONL metric snapshots while the command
-//                         runs, plus an RSS sampler (docs/OBSERVABILITY.md)
+//   --metrics-out FILE    periodic JSONL metric snapshots, with the RSS
+//                         gauges, while the command runs (docs/OBSERVABILITY.md)
 //   --metrics-interval MS snapshot period for --metrics-out (default 500)
 //   --log-level LEVEL     debug|info|warn|error|off (default warn)
 //
@@ -415,15 +415,11 @@ int main(int argc, char** argv) {
       obs::tracer().enable(true);
     }
     std::unique_ptr<obs::MetricsFileSink> sink;
-    std::unique_ptr<obs::RssSampler> rss;
     if (!args.metrics_out.empty()) {
       obs::register_core_metrics();
       sink = std::make_unique<obs::MetricsFileSink>(args.metrics_out,
                                                     args.metrics_interval_ms);
       TKA_CHECK(sink->ok(), "cannot open --metrics-out file");
-      // Drive the mem.rss_* gauges so the snapshot timeline shows the
-      // footprint, not just the counters.
-      rss = std::make_unique<obs::RssSampler>(args.metrics_interval_ms);
     }
     // An interrupted run still flushes its observability artifacts: the
     // JSONL sink's final record, the trace and the metrics dump (all
@@ -431,8 +427,7 @@ int main(int argc, char** argv) {
     if (sink != nullptr || !args.trace_path.empty() ||
         !args.metrics_path.empty()) {
       obs::install_signal_flush();
-      obs::add_flush_hook([&args, &sink, &rss] {
-        if (rss) rss->stop();
+      obs::add_flush_hook([&args, &sink] {
         if (sink) sink->stop();
         if (!args.trace_path.empty()) {
           std::ofstream out(args.trace_path);
@@ -460,7 +455,6 @@ int main(int argc, char** argv) {
       obs::tracer().write_chrome_json(out);
       std::printf("wrote %s\n", args.trace_path.c_str());
     }
-    if (rss) rss->stop();
     if (sink) {
       sink->stop();
       std::printf("wrote %s (%llu snapshot records)\n", args.metrics_out.c_str(),
